@@ -25,29 +25,15 @@ constexpr unsigned maxDropRetransmits = 8;
 constexpr sim::Tick dropBackoffBase = 16;
 constexpr sim::Tick dropBackoffCap = 2048;
 
-/** Clamp the shard count to the schedulable components: clusters plus
- *  DRAM-channel bank groups — more shards than that would only idle. */
-MachineConfig
-withClampedShards(MachineConfig c)
-{
-    unsigned most = c.numClusters + c.numChannels;
-    if (c.shards < 1)
-        c.shards = 1;
-    if (c.shards > most)
-        c.shards = most;
-    return c;
-}
-
 /**
- * Clamp shards and resolve the coherence-backend name (throws
- * std::runtime_error listing the registered backends if unknown). An
- * explicit MSI variant forces the matching sharer representation so
- * `--backend dir4b` alone selects limited pointers.
+ * Resolve the coherence-backend name (throws std::runtime_error listing
+ * the registered backends if unknown). An explicit MSI variant forces
+ * the matching sharer representation so `--backend dir4b` alone selects
+ * limited pointers.
  */
 MachineConfig
 normalized(MachineConfig c)
 {
-    c = withClampedShards(std::move(c));
     c.backend = coherence::resolveBackendName(c.backend, c.directory);
     if (c.backend == "dir4b")
         c.directory.sharerKind = coherence::SharerKind::LimitedPtr;
@@ -56,25 +42,6 @@ normalized(MachineConfig c)
     return c;
 }
 
-std::vector<std::unique_ptr<sim::EventQueue>>
-makeQueues(unsigned n)
-{
-    std::vector<std::unique_ptr<sim::EventQueue>> qs;
-    qs.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        qs.push_back(std::make_unique<sim::EventQueue>());
-    return qs;
-}
-
-/** Canonical merge order for staged flight-recorder records, used
- *  under stable_sort. Key is (tick, comp) only: every cluster/bank
- *  component is pinned to one shard, so its staged records already sit
- *  in its deterministic processing order for every shard count, and
- *  stability preserves that causal order (a full-content key would
- *  reorder e.g. a TransBegin after the ProbeSends it caused at the
- *  same tick). compChip records alone are emitted from whichever shard
- *  holds the sender/receiver, so they get a full-content tiebreak to
- *  stay shard-count invariant. */
 /** Class-bucket namer handed to the accountant (sim/ cannot name
  *  arch::MsgClass, so the binding happens here). */
 const char *
@@ -83,74 +50,25 @@ latClassName(unsigned c)
     return msgClassName(static_cast<MsgClass>(c));
 }
 
-bool
-recordBefore(const sim::FlightRecorder::Record &x,
-             const sim::FlightRecorder::Record &y)
-{
-    if (x.tick != y.tick)
-        return x.tick < y.tick;
-    if (x.comp != y.comp)
-        return x.comp < y.comp;
-    if (x.comp != sim::FlightRecorder::compChip)
-        return false;
-    if (x.kind != y.kind)
-        return x.kind < y.kind;
-    if (x.line != y.line)
-        return x.line < y.line;
-    if (x.txn != y.txn)
-        return x.txn < y.txn;
-    if (x.a != y.a)
-        return x.a < y.a;
-    return x.b < y.b;
-}
-
 } // namespace
 
 Chip::Chip(const MachineConfig &config, mem::Addr table_base)
     : _config(normalized(config)),
       _backendTraits(*coherence::backendTraits(_config.backend)),
-      _eqs(makeQueues(_config.shards)),
-      _router(_config.shards,
-              _config.numClusters + _config.numL3Banks + 1),
-      _tracer(*_eqs[0]),
+      _tracer(_eq),
       _map(_config.numL3Banks, _config.numChannels, table_base),
-      _dram(_map, _config.dram), _fabric(_config),
-      _timeSeries(*_eqs[0]), _latLanes(_config.shards),
-      _recStage(_config.shards)
+      _dram(_map, _config.dram), _fabric(_config), _timeSeries(_eq)
 {
     _faults.configure(_config.faults, _config.numClusters,
                       _config.numL3Banks);
-    _latAcc.configure(numMsgClasses, _config.shards);
-    // Components capture queue references at construction (e.g. the
-    // bank line-lock tables); bind them to their home shard's queue.
-    for (unsigned c = 0; c < _config.numClusters; ++c) {
-        sim::ShardGuard g(shardOfCluster(c));
+    _latAcc.configure(numMsgClasses);
+    for (unsigned c = 0; c < _config.numClusters; ++c)
         _clusters.push_back(std::make_unique<Cluster>(*this, c));
-    }
-    for (unsigned b = 0; b < _config.numL3Banks; ++b) {
-        sim::ShardGuard g(shardOfBank(b));
+    for (unsigned b = 0; b < _config.numL3Banks; ++b)
         _banks.push_back(std::make_unique<L3Bank>(*this, b));
-    }
-    _crew = std::make_unique<sim::ShardCrew>(_config.shards);
 }
 
 Chip::~Chip() = default;
-
-std::uint64_t
-Chip::totalEventsRun() const
-{
-    std::uint64_t n = 0;
-    for (const auto &q : _eqs)
-        n += q->eventsRun();
-    return n;
-}
-
-void
-Chip::postBarrierWake(unsigned cluster, sim::Tick when, sim::Event cb)
-{
-    _router.post(srcKeyBarrier(), shardOfCluster(cluster), when,
-                 std::move(cb));
-}
 
 void
 Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
@@ -188,7 +106,7 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
             // the last computed arrival tick. This used to happen
             // silently; surface it so fault campaigns can see how
             // often the bound actually engages.
-            _retryExhausted.fetch_add(1, std::memory_order_relaxed);
+            _retryExhausted.inc();
             rec(sim::FlightRecorder::Ev::RetransmitExhausted,
                 sim::FlightRecorder::compChip, mem::lineBase(req.addr),
                 req.msgId, static_cast<std::uint8_t>(req.type), drops);
@@ -203,25 +121,22 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
         }
     }
     req.retries = static_cast<std::uint8_t>(drops);
-    if (drops) {
-        _reqRetries[static_cast<unsigned>(msgClassFor(req.type))].fetch_add(
-            drops, std::memory_order_relaxed);
-    }
+    if (drops)
+        _reqRetries[static_cast<unsigned>(msgClassFor(req.type))].inc(drops);
     nominal = _fabric.orderC2B(cluster_id, bank_id, nominal);
-    routeRequest(cluster_id, bank_id, req, nominal, depart, drops);
+    routeRequest(bank_id, req, nominal, depart, drops);
     if (dup) {
         sim::Tick at = _fabric.orderC2B(cluster_id, bank_id, nominal + 1);
-        routeRequest(cluster_id, bank_id, req, at, depart, 0);
+        routeRequest(bank_id, req, at, depart, 0);
     }
 }
 
 void
-Chip::routeRequest(unsigned cluster_id, unsigned bank_id, Request req,
-                   sim::Tick nominal, sim::Tick depart, unsigned drops)
+Chip::routeRequest(unsigned bank_id, Request req, sim::Tick nominal,
+                   sim::Tick depart, unsigned drops)
 {
-    _router.post(
-        srcKeyCluster(cluster_id), shardOfBank(bank_id), nominal,
-        [this, bank_id, req, nominal, depart, drops]() {
+    _eq.schedule(
+        nominal, [this, bank_id, req, nominal, depart, drops]() {
             sim::Tick accept = _fabric.c2bAccept(bank_id, nominal, depart);
             auto deliver = [this, bank_id, req, drops]() {
                 for (unsigned i = 0; i < drops; ++i)
@@ -234,10 +149,10 @@ Chip::routeRequest(unsigned cluster_id, unsigned bank_id, Request req,
                 }
                 bank(bank_id).receiveRequest(req);
             };
-            if (accept == eq().now())
+            if (accept == _eq.now())
                 deliver();
             else
-                eq().schedule(accept, std::move(deliver));
+                _eq.schedule(accept, std::move(deliver));
         });
 }
 
@@ -245,7 +160,7 @@ void
 Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
                    unsigned data_words)
 {
-    sim::Tick depart = eq().now();
+    sim::Tick depart = _eq.now();
     resp.sendTick = depart;
     sim::Tick nominal = _fabric.b2cSend(bank_id, msgBytes(data_words), depart);
     unsigned drops = 0;
@@ -266,7 +181,7 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
             backoff = std::min(backoff * 2, dropBackoffCap);
         }
         if (drops == maxDropRetransmits) {
-            _retryExhausted.fetch_add(1, std::memory_order_relaxed);
+            _retryExhausted.inc();
             rec(sim::FlightRecorder::Ev::RetransmitExhausted,
                 sim::FlightRecorder::compChip, mem::lineBase(resp.addr),
                 resp.msgId, static_cast<std::uint8_t>(resp.type), drops);
@@ -283,12 +198,11 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
     }
     resp.retries = static_cast<std::uint8_t>(drops);
     if (drops)
-        _respRetries.fetch_add(drops, std::memory_order_relaxed);
+        _respRetries.inc(drops);
     nominal = _fabric.orderB2C(bank_id, cluster_id, nominal);
     auto route = [this, cluster_id, resp, depart](sim::Tick at,
                                                   unsigned n_drops) {
-        _router.post(
-            srcKeyBank(_map.bankOf(resp.addr)), shardOfCluster(cluster_id),
+        _eq.schedule(
             at, [this, cluster_id, resp, at, depart, n_drops]() {
                 sim::Tick accept = _fabric.b2cAccept(cluster_id, at, depart);
                 auto deliver = [this, cluster_id, resp, n_drops]() {
@@ -302,13 +216,13 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
                             mem::lineBase(resp.addr), resp.msgId,
                             static_cast<std::uint8_t>(resp.type), n_drops);
                     }
-                    _respDelivered.fetch_add(1, std::memory_order_relaxed);
+                    ++_respDelivered;
                     cluster(cluster_id).handleResponse(resp);
                 };
-                if (accept == eq().now())
+                if (accept == _eq.now())
                     deliver();
                 else
-                    eq().schedule(accept, std::move(deliver));
+                    _eq.schedule(accept, std::move(deliver));
             });
     };
     route(nominal, drops);
@@ -326,7 +240,7 @@ Chip::sendProbe(unsigned bank_id, unsigned cluster_id, ProbeType type,
     using FR = sim::FlightRecorder;
     rec(FR::Ev::ProbeSend, FR::compBank(bank_id), mem::lineBase(addr), txn,
         static_cast<std::uint8_t>(type), cluster_id);
-    sim::Tick depart = eq().now();
+    sim::Tick depart = _eq.now();
     sim::Tick nominal = _fabric.b2cSend(bank_id, msgBytes(0), depart);
     // Probes participate in AckGate fan-ins: a dropped or duplicated
     // probe would underflow/overflow the gate, so probes only suffer
@@ -335,21 +249,20 @@ Chip::sendProbe(unsigned bank_id, unsigned cluster_id, ProbeType type,
         _faults.fire(sim::FaultSite::FabricB2CDelay, bank_id))
         nominal += _faults.delayTicks(sim::FaultSite::FabricB2CDelay);
     nominal = _fabric.orderB2C(bank_id, cluster_id, nominal);
-    _router.post(
-        srcKeyBank(bank_id), shardOfCluster(cluster_id), nominal,
-        [this, bank_id, cluster_id, type, addr, txn, depart, nominal,
-         done = std::move(done)]() mutable {
+    _eq.schedule(
+        nominal, [this, bank_id, cluster_id, type, addr, txn, depart, nominal,
+                  done = std::move(done)]() mutable {
             sim::Tick accept = _fabric.b2cAccept(cluster_id, nominal, depart);
-            _latLanes[sim::tlsShard].probe.sample(accept - depart);
+            _probeLatency.sample(accept - depart);
             auto apply = [this, bank_id, cluster_id, type, addr, txn,
                           done = std::move(done)]() mutable {
                 probeArrived(bank_id, cluster_id, type, addr, txn,
                              std::move(done));
             };
-            if (accept == eq().now())
+            if (accept == _eq.now())
                 apply();
             else
-                eq().schedule(accept, std::move(apply));
+                _eq.schedule(accept, std::move(apply));
         });
 }
 
@@ -366,16 +279,15 @@ Chip::probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,
     cluster(cluster_id).msgCounters().count(MsgClass::ProbeResponse);
     unsigned words =
         r.dirty ? std::popcount(static_cast<unsigned>(r.dirtyMask)) : 0;
-    sim::Tick depart = eq().now();
+    sim::Tick depart = _eq.now();
     sim::Tick back = _fabric.c2bSend(cluster_id, msgBytes(words), depart);
     if (_faults.enabled() &&
         _faults.fire(sim::FaultSite::FabricC2BDelay, cluster_id))
         back += _faults.delayTicks(sim::FaultSite::FabricC2BDelay);
     back = _fabric.orderC2B(cluster_id, bank_id, back);
-    _router.post(
-        srcKeyCluster(cluster_id), shardOfBank(bank_id), back,
-        [this, bank_id, cluster_id, type, addr, txn, r, back, depart,
-         done = std::move(done)]() mutable {
+    _eq.schedule(
+        back, [this, bank_id, cluster_id, type, addr, txn, r, back, depart,
+               done = std::move(done)]() mutable {
             sim::Tick accept = _fabric.c2bAccept(bank_id, back, depart);
             sampleReqLatency(MsgClass::ProbeResponse, accept - depart);
             auto ack = [this, bank_id, cluster_id, type, addr, txn, r,
@@ -388,10 +300,10 @@ Chip::probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,
                     sim::HostProfiler::Phase::BankMsg);
                 done(cluster_id, r);
             };
-            if (accept == eq().now())
+            if (accept == _eq.now())
                 ack();
             else
-                eq().schedule(accept, std::move(ack));
+                _eq.schedule(accept, std::move(ack));
         });
 }
 
@@ -661,10 +573,7 @@ Chip::enableOccupancySampling(sim::Tick period)
     // time-series consumers should not see new columns by default.
     if (sim::HostProfiler::enabled()) {
         _timeSeries.add("host.eq.pending", [this]() {
-            double n = 0;
-            for (const auto &q : _eqs)
-                n += static_cast<double>(q->pending());
-            return n;
+            return static_cast<double>(_eq.pending());
         });
         _timeSeries.add("host.mshr.occupancy", [this]() {
             double n = 0;
@@ -704,48 +613,25 @@ Chip::updateRecAny()
 {
     _recSlow = _profiler != nullptr || _watchLine != ~mem::Addr(0);
     _recAny = _recorder.enabled() || _recSlow;
-    // Staging is unconditional whenever anything records: the ring (and
-    // with it recorder dumps and machine snapshots) must hold the same
-    // byte sequence for every shard count, and only the canonical
-    // barrier merge delivers that — at one shard the ring would
-    // otherwise fill in execution order, which the merge key is not.
-    _recStaged = _recAny;
 }
 
 void
-Chip::recImpl(const sim::FlightRecorder::Record &r)
+Chip::recSlow(sim::FlightRecorder::Ev kind, std::uint16_t comp,
+              mem::Addr line, std::uint32_t txn, std::uint8_t a,
+              std::uint32_t b)
 {
-    if (_profiler) {
-        _profiler->observe(static_cast<sim::FlightRecorder::Ev>(r.kind),
-                           r.line, r.a, r.b);
-    }
-    if (r.line == _watchLine)
+    if (_profiler)
+        _profiler->observe(kind, line, a, b);
+    if (line == _watchLine) {
+        sim::FlightRecorder::Record r;
+        r.tick = _eq.now();
+        r.line = line;
+        r.txn = txn;
+        r.comp = comp;
+        r.kind = static_cast<std::uint8_t>(kind);
+        r.a = a;
+        r.b = b;
         inform("watch: ", describeRecord(r));
-}
-
-void
-Chip::drainRecStage()
-{
-    std::size_t total = 0;
-    for (const auto &v : _recStage)
-        total += v.size();
-    if (!total)
-        return;
-    std::vector<sim::FlightRecorder::Record> batch;
-    batch.reserve(total);
-    for (auto &v : _recStage) {
-        batch.insert(batch.end(), v.begin(), v.end());
-        v.clear();
-    }
-    std::stable_sort(batch.begin(), batch.end(), recordBefore);
-    for (const sim::FlightRecorder::Record &r : batch) {
-        if (_recorder.enabled()) {
-            _recorder.record(r.tick,
-                             static_cast<sim::FlightRecorder::Ev>(r.kind),
-                             r.comp, r.line, r.txn, r.a, r.b);
-        }
-        if (_recSlow)
-            recImpl(r);
     }
 }
 
@@ -806,10 +692,6 @@ Chip::postMortemHistory() const
 void
 Chip::attachJson(sim::TraceJsonWriter *w)
 {
-    if (w && _config.shards > 1) {
-        warn("JSON tracing is not supported with --shards > 1; ignoring");
-        return;
-    }
     _tracer.setJson(w);
     if (!w) {
         _timeSeries.setSink({});
@@ -829,70 +711,17 @@ Chip::attachJson(sim::TraceJsonWriter *w)
 }
 
 void
-Chip::degradeDebugSinks()
-{
-    if (_config.shards <= 1)
-        return;
-    if (_tracer.mask() != sim::Category::None) {
-        warn("text tracing is not supported with --shards > 1; disabling");
-        _tracer.setMask(sim::Category::None);
-    }
-}
-
-const sim::Histogram &
-Chip::reqLatency(MsgClass cls) const
-{
-    unsigned c = static_cast<unsigned>(cls);
-    _reqLatencyFolded[c].reset();
-    for (const LatencyLanes &l : _latLanes)
-        _reqLatencyFolded[c].merge(l.req[c]);
-    return _reqLatencyFolded[c];
-}
-
-const sim::Histogram &
-Chip::respLatency() const
-{
-    _respLatencyFolded.reset();
-    for (const LatencyLanes &l : _latLanes)
-        _respLatencyFolded.merge(l.resp);
-    return _respLatencyFolded;
-}
-
-const sim::Histogram &
-Chip::probeLatency() const
-{
-    _probeLatencyFolded.reset();
-    for (const LatencyLanes &l : _latLanes)
-        _probeLatencyFolded.merge(l.probe);
-    return _probeLatencyFolded;
-}
-
-void
 Chip::registerStats(sim::StatRegistry &reg) const
 {
-    const_cast<Chip *>(this)->drainRecStage();
     for (unsigned c = 0; c < numMsgClasses; ++c) {
-        reg.addHistogram(
-            sim::cat("chip.latency.req.",
-                     msgClassName(static_cast<MsgClass>(c))),
-            reqLatency(static_cast<MsgClass>(c)));
+        const char *cls = msgClassName(static_cast<MsgClass>(c));
+        reg.addHistogram(sim::cat("chip.latency.req.", cls), _reqLatency[c]);
+        reg.addCounter(sim::cat("chip.retries.req.", cls), _reqRetries[c]);
     }
-    reg.addHistogram("chip.latency.resp", respLatency());
-    reg.addHistogram("chip.latency.probe", probeLatency());
-    for (unsigned c = 0; c < numMsgClasses; ++c) {
-        _reqRetriesStat[c].reset();
-        _reqRetriesStat[c].inc(
-            _reqRetries[c].load(std::memory_order_relaxed));
-        reg.addCounter(sim::cat("chip.retries.req.",
-                                msgClassName(static_cast<MsgClass>(c))),
-                       _reqRetriesStat[c]);
-    }
-    _respRetriesStat.reset();
-    _respRetriesStat.inc(respRetries());
-    reg.addCounter("chip.retries.resp", _respRetriesStat);
-    _retryExhaustedStat.reset();
-    _retryExhaustedStat.inc(retriesExhausted());
-    reg.addCounter("chip.retries.exhausted", _retryExhaustedStat);
+    reg.addHistogram("chip.latency.resp", _respLatency);
+    reg.addHistogram("chip.latency.probe", _probeLatency);
+    reg.addCounter("chip.retries.resp", _respRetries);
+    reg.addCounter("chip.retries.exhausted", _retryExhausted);
     reg.addScalar("chip.retries.wb_evicted", [this]() {
         double total = 0;
         for (const auto &cl : _clusters)
@@ -929,19 +758,8 @@ Chip::checkpointState(sim::Serializer &ser) const
     // Structural quiescence: every component hook below also asserts
     // its own slice, but check the machine-level conditions up front
     // so the failure names the real problem instead of a section tag.
-    const_cast<Chip *>(this)->drainRecStage();
-    if (!_router.empty()) {
-        throw sim::SnapshotError(
-            "checkpoint with cross-shard messages in flight");
-    }
-    for (const auto &q : _eqs) {
-        if (!q->empty())
-            throw sim::SnapshotError("checkpoint with events pending");
-        if (q->now() != _eqs[0]->now()) {
-            throw sim::SnapshotError(
-                "checkpoint with unsynchronized shard clocks");
-        }
-    }
+    if (!_eq.empty())
+        throw sim::SnapshotError("checkpoint with events pending");
     for (const auto &b : _banks) {
         // Finished coroutine frames linger in the running list until
         // the next request arrives; they are not in-flight work.
@@ -960,27 +778,14 @@ Chip::checkpointState(sim::Serializer &ser) const
 
     // Geometry fingerprint: a snapshot only restores into a machine
     // built from the same topology (cache shapes are re-validated
-    // per-array by their own hooks). The shard count is deliberately
-    // absent — snapshots are shard-count-independent.
+    // per-array by their own hooks).
     ser.u32(_config.numClusters);
     ser.u32(_config.coresPerCluster);
     ser.u32(_config.numL3Banks);
     ser.u32(_config.numChannels);
     ser.u8(static_cast<std::uint8_t>(_config.mode));
 
-    // Canonical queue record: same wire shape as one queue's
-    // (now, eventsRun, nextSeq) triple.
-    ser.u64(_eqs[0]->now());
-    ser.u64(totalEventsRun());
-    // The summed sequence origin is shard-count-invariant (every
-    // schedule increments exactly one queue) and >= any per-queue
-    // value, so restoring it into every queue preserves tie-break
-    // order; a per-queue max would leak the shard count into the
-    // snapshot bytes.
-    std::uint64_t seq = 0;
-    for (const auto &q : _eqs)
-        seq += q->nextSeq();
-    ser.u64(seq);
+    _eq.checkpointState(ser);
 
     _store.checkpointState(ser);
     _dram.checkpointState(ser);
@@ -993,16 +798,16 @@ Chip::checkpointState(sim::Serializer &ser) const
         b->checkpointState(ser);
 
     ser.tag("chip-stats");
-    for (unsigned c = 0; c < numMsgClasses; ++c)
-        reqLatency(static_cast<MsgClass>(c)).checkpointState(ser);
-    respLatency().checkpointState(ser);
-    probeLatency().checkpointState(ser);
-    for (const auto &c : _reqRetries)
-        ser.u64(c.load(std::memory_order_relaxed));
-    ser.u64(respRetries());
-    ser.u64(retriesExhausted());
-    ser.u64(responsesDelivered());
-    ser.u64(_traceIdSeq.load(std::memory_order_relaxed));
+    for (const sim::Histogram &h : _reqLatency)
+        h.checkpointState(ser);
+    _respLatency.checkpointState(ser);
+    _probeLatency.checkpointState(ser);
+    for (const sim::Counter &c : _reqRetries)
+        c.checkpointState(ser);
+    _respRetries.checkpointState(ser);
+    _retryExhausted.checkpointState(ser);
+    ser.u64(_respDelivered);
+    ser.u64(_traceIdSeq);
     for (const auto &s : _occupancy)
         s.checkpointState(ser);
     _occupancyTotal.checkpointState(ser);
@@ -1033,13 +838,7 @@ Chip::restoreState(sim::Deserializer &des)
             "snapshot coherence mode does not match this configuration");
     }
 
-    // Every queue adopts the canonical tick and sequence origin; the
-    // event total lands on queue 0 so the sum is preserved.
-    sim::Tick t = des.u64();
-    std::uint64_t events = des.u64();
-    std::uint64_t seq = des.u64();
-    for (unsigned s = 0; s < _eqs.size(); ++s)
-        _eqs[s]->adopt(t, seq, s == 0 ? events : 0);
+    _eq.restoreState(des);
 
     _store.restoreState(des);
     _dram.restoreState(des);
@@ -1052,22 +851,16 @@ Chip::restoreState(sim::Deserializer &des)
         b->restoreState(des);
 
     des.tag("chip-stats");
-    for (auto &l : _latLanes) {
-        for (auto &h : l.req)
-            h.reset();
-        l.resp.reset();
-        l.probe.reset();
-    }
-    for (unsigned c = 0; c < numMsgClasses; ++c)
-        _latLanes[0].req[c].restoreState(des);
-    _latLanes[0].resp.restoreState(des);
-    _latLanes[0].probe.restoreState(des);
-    for (auto &c : _reqRetries)
-        c.store(des.u64(), std::memory_order_relaxed);
-    _respRetries.store(des.u64(), std::memory_order_relaxed);
-    _retryExhausted.store(des.u64(), std::memory_order_relaxed);
-    _respDelivered.store(des.u64(), std::memory_order_relaxed);
-    _traceIdSeq.store(des.u64(), std::memory_order_relaxed);
+    for (sim::Histogram &h : _reqLatency)
+        h.restoreState(des);
+    _respLatency.restoreState(des);
+    _probeLatency.restoreState(des);
+    for (sim::Counter &c : _reqRetries)
+        c.restoreState(des);
+    _respRetries.restoreState(des);
+    _retryExhausted.restoreState(des);
+    _respDelivered = des.u64();
+    _traceIdSeq = des.u64();
     for (auto &s : _occupancy)
         s.restoreState(des);
     _occupancyTotal.restoreState(des);
@@ -1091,73 +884,43 @@ Chip::progress() const
     return p;
 }
 
-void
-Chip::runShardWindow(unsigned shard, sim::Tick stop)
-{
-    sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::EqDispatch);
-    _router.flush(shard, stop, *_eqs[shard]);
-    _eqs[shard]->run(stop);
-}
-
 sim::Tick
 Chip::runUntilQuiescent()
 {
-    degradeDebugSinks();
     const sim::Tick limit = _config.maxCycles;
     const sim::Tick window =
         _config.watchdogWindow ? std::min(_config.watchdogWindow, limit)
                                : limit;
     // Audit passes, the fault pump and the time-series sampler are all
-    // driven from the window barrier rather than from self-re-arming
-    // queue events: a pair of such events would keep each other pending
+    // driven from this loop rather than from self-re-arming queue
+    // events: a pair of such events would keep each other pending
     // forever and hold a quiesced machine alive, and a lone one stops
-    // for good the first time the queues drain. Barrier-driven cadences
+    // for good the first time the queue drains. Loop-driven cadences
     // instead survive quiescent gaps — sampling resumes when new work
-    // arrives in a later runUntilQuiescent call. Every cadence tick is
-    // a pure function of the simulation, so the window boundaries (and
-    // with them every event order) are shard-count-invariant.
+    // arrives in a later runUntilQuiescent call.
     const sim::Tick audit_period = _auditor ? _auditPeriod : 0;
     const sim::Tick pump_period =
         pumpEligible() ? _faults.plan().pumpPeriod : 0;
-    const sim::Tick entry = _eqs[0]->now();
+    const sim::Tick entry = _eq.now();
     sim::Tick next_audit =
         audit_period ? entry + audit_period : sim::maxTick;
     sim::Tick next_pump = pump_period ? entry + pump_period : sim::maxTick;
     sim::Tick window_end = entry + window;
     Progress last = progress();
 
-    // Conservative lookahead: a window [B, B + horizon] is safe because
-    // every cross-component message departs at >= B and arrives at
-    // >= B + lookahead + 1 — strictly beyond the window.
-    const sim::Tick horizon =
-        _fabric.lookahead() ? _fabric.lookahead() - 1 : 0;
-
-    // Live-progress heartbeat. The host clock is consulted only at
-    // barriers (and only every few windows); it never shapes a window
-    // boundary, so the heartbeat cannot perturb simulated results.
+    // Live-progress heartbeat. With a hook installed, dispatch runs in
+    // slices of at most heartbeatTicks so the host clock is read
+    // between slices; a slice boundary runs nothing, so it cannot
+    // perturb simulated results.
+    constexpr sim::Tick heartbeatTicks = 4096;
     using host_clock = std::chrono::steady_clock;
     host_clock::time_point last_emit = host_clock::now();
-    unsigned beat_countdown = 0;
-
-    auto run_windows = [&](sim::Tick stop) {
-        if (_config.shards == 1) {
-            runShardWindow(0, stop);
-            return;
-        }
-        sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::EqDispatch);
-        _crew->runWindow([this, stop](unsigned s) {
-            runShardWindow(s, stop);
-        });
-    };
 
     while (true) {
-        _router.collect();
-        sim::Tick bound = _router.minInboxHead();
-        for (const auto &q : _eqs)
-            bound = std::min(bound, q->nextEventTick());
-        if (bound == sim::maxTick)
+        const sim::Tick next = _eq.nextEventTick();
+        if (next == sim::maxTick)
             break; // quiescent
-        if (bound > limit) {
+        if (next > limit) {
             std::string dump = inFlightDump() + postMortemHistory();
             TRACE(_tracer, sim::Category::Watchdog,
                   "watchdog: cycle limit hit; in-flight:\n", dump);
@@ -1167,93 +930,73 @@ Chip::runUntilQuiescent()
                 std::move(dump));
         }
 
-        sim::Tick next_sample = _timeSeries.nextSampleAt();
-        sim::Tick stop = std::min(
-            std::min(std::min(limit, window_end), bound + horizon),
-            std::min(std::min(next_audit, next_pump), next_sample));
-
-        run_windows(stop);
-
-        // --- Window barrier (single-threaded) ------------------------
-        drainRecStage();
-        bool cadence_due = stop >= next_audit || stop >= next_pump ||
-                           stop >= next_sample || stop >= window_end;
-        if (cadence_due) {
-            // Legal: every event <= stop ran in the window, and no
-            // pending message or event is <= stop any more.
-            _router.collect();
-            for (auto &q : _eqs)
-                q->advanceTo(stop);
-            if (stop >= next_audit) {
+        const sim::Tick cadence =
+            std::min({next_audit, next_pump, _timeSeries.nextSampleAt(),
+                      window_end, limit});
+        if (next <= cadence) {
+            // Run every event up to and including the cadence tick.
+            sim::Tick stop = cadence;
+            if (_progressFn)
+                stop = std::min(stop, next + heartbeatTicks);
+            {
                 sim::HostProfiler::Scope hp(
-                    sim::HostProfiler::Phase::Audit);
-                _auditor->auditNow();
-                next_audit += audit_period;
+                    sim::HostProfiler::Phase::EqDispatch);
+                _eq.run(stop);
             }
-            if (stop >= next_pump) {
-                sim::HostProfiler::Scope hp(
-                    sim::HostProfiler::Phase::FaultPump);
-                faultPump();
-                next_pump += pump_period;
-            }
-            if (stop >= next_sample) {
-                sim::HostProfiler::Scope hp(
-                    sim::HostProfiler::Phase::Sampler);
-                _timeSeries.tick();
-            }
-            if (stop >= window_end) {
-                Progress cur = progress();
-                if (_config.watchdogWindow && cur == last) {
-                    std::string dump =
-                        inFlightDump() + postMortemHistory();
-                    TRACE(_tracer, sim::Category::Watchdog,
-                          "watchdog: no forward progress; in-flight:\n",
-                          dump);
-                    throw DeadlockError(
-                        sim::cat("watchdog: no forward progress in ",
-                                 window, " ticks at t=", stop,
-                                 " (deadlock or livelock)"),
-                        std::move(dump));
+            if (_progressFn) {
+                host_clock::time_point now_h = host_clock::now();
+                if (std::chrono::duration<double>(now_h - last_emit)
+                        .count() >= _progressIntervalSec) {
+                    _progressFn(_eq.now(), _eq.eventsRun());
+                    last_emit = now_h;
                 }
-                last = cur;
-                window_end = stop + window;
             }
+            continue;
         }
-        if (_progressFn && beat_countdown-- == 0) {
-            beat_countdown = 32;
-            host_clock::time_point now_h = host_clock::now();
-            double el =
-                std::chrono::duration<double>(now_h - last_emit).count();
-            if (el >= _progressIntervalSec) {
-                _progressFn(stop, totalEventsRun());
-                last_emit = now_h;
+
+        // Events are still pending past the cadence tick: fire every
+        // cadence due there. A drained queue never gets here, so no
+        // cadence moves the clock past the last fired event.
+        _eq.advanceTo(cadence);
+        if (cadence >= next_audit) {
+            sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Audit);
+            _auditor->auditNow();
+            next_audit += audit_period;
+        }
+        if (cadence >= next_pump) {
+            sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::FaultPump);
+            faultPump();
+            next_pump += pump_period;
+        }
+        if (cadence >= _timeSeries.nextSampleAt()) {
+            sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Sampler);
+            _timeSeries.tick();
+        }
+        if (cadence >= window_end) {
+            Progress cur = progress();
+            if (_config.watchdogWindow && cur == last) {
+                std::string dump = inFlightDump() + postMortemHistory();
+                TRACE(_tracer, sim::Category::Watchdog,
+                      "watchdog: no forward progress; in-flight:\n", dump);
+                throw DeadlockError(
+                    sim::cat("watchdog: no forward progress in ", window,
+                             " ticks at t=", cadence,
+                             " (deadlock or livelock)"),
+                    std::move(dump));
             }
+            last = cur;
+            window_end = cadence + window;
         }
     }
 
-    // End normalization: every queue's clock lands on the last fired
-    // event, so a later run (or a checkpoint) continues from one
-    // well-defined point regardless of the shard count.
-    sim::Tick final_tick = entry;
-    for (const auto &q : _eqs) {
-        // A cadence barrier may already have advanced a queue's clock
-        // past its last fired event (quiescence is only detected one
-        // iteration later), so the final tick covers both. The stop
-        // sequence is itself shard-count-invariant, so this stays
-        // bit-identical across shard counts.
-        final_tick = std::max(final_tick,
-                              std::max(q->lastFired(), q->now()));
-    }
-    for (auto &q : _eqs)
-        q->advanceTo(final_tick);
-    drainRecStage();
+    const sim::Tick final_tick = _eq.now();
     // The final event may land exactly on the sampling cadence.
     if (final_tick >= _timeSeries.nextSampleAt()) {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Sampler);
         _timeSeries.tick();
     }
     if (_progressFn)
-        _progressFn(final_tick, totalEventsRun());
+        _progressFn(final_tick, _eq.eventsRun());
     return final_tick;
 }
 

@@ -114,7 +114,7 @@ struct BackendTraits
  * Every flow takes a latency-accounting cursor (@p lat, null when
  * accounting is off): the flow marks the cursor after each await so
  * the bank span tiles into lock/directory/probe/DRAM/service stages
- * (DESIGN.md SS15). Marking is observer-only — no timing decision may
+ * (DESIGN.md §14). Marking is observer-only — no timing decision may
  * read the cursor.
  */
 class Backend

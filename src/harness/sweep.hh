@@ -260,8 +260,9 @@ struct SweepSpec
     bool audit = true;
     /** options.warmup: warm-up runs per job (see SweepPoint). */
     unsigned warmupRuns = 0;
-    /** options.shards: intra-run shard threads per job (results are
-     *  bit-identical for any value; see DESIGN.md §13). */
+    /** Unused. Kept only because the end-to-end benchmark under
+     *  e2ebench/ still assigns it; the next change to that benchmark
+     *  removes the assignment and this member with it. */
     unsigned shards = 1;
 
     /** Parse the JSON schema above. Returns false and sets @p err on

@@ -9,7 +9,6 @@
 #ifndef COHESION_MEM_BACKING_STORE_HH
 #define COHESION_MEM_BACKING_STORE_HH
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -21,14 +20,8 @@
 namespace mem {
 
 /**
- * Sparse page-granular byte store over the 32-bit space.
- *
- * Thread model (sharded runs): each L3 bank only ever touches bytes of
- * its own 2 KB-interleaved address slices, so concurrent shard threads
- * never race on *data*. The only shared mutation is lazy page
- * materialization — two banks homed on different shards faulting in
- * disjoint slices of the same 64 KB page — so the page table is a
- * fixed array of atomic pointers published with a CAS.
+ * Sparse page-granular byte store over the 32-bit space: a fixed page
+ * table whose 64 KB pages are materialized on first write.
  */
 class BackingStore
 {
@@ -99,7 +92,7 @@ class BackingStore
     std::size_t
     pagesAllocated() const
     {
-        return _allocated.load(std::memory_order_relaxed);
+        return _allocated;
     }
 
     /** Checkpoint hooks. Pages are written in ascending page-number
@@ -111,8 +104,7 @@ class BackingStore
         ser.tag("store");
         ser.u64(pagesAllocated());
         for (std::size_t page = 0; page < numPages; ++page) {
-            const std::uint8_t *p =
-                _pages[page].load(std::memory_order_acquire);
+            const std::uint8_t *p = _pages[page];
             if (!p)
                 continue;
             ser.u32(static_cast<std::uint32_t>(page));
@@ -130,9 +122,9 @@ class BackingStore
             std::uint32_t page = des.u32();
             auto *p = new std::uint8_t[pageBytes];
             des.bytes(p, pageBytes);
-            _pages[page].store(p, std::memory_order_release);
+            _pages[page] = p;
         }
-        _allocated.store(n, std::memory_order_relaxed);
+        _allocated = n;
     }
 
   private:
@@ -146,8 +138,7 @@ class BackingStore
     const std::uint8_t *
     peek(Addr a) const
     {
-        const std::uint8_t *p =
-            _pages[a >> pageShift].load(std::memory_order_acquire);
+        const std::uint8_t *p = _pages[a >> pageShift];
         if (!p)
             return nullptr;
         return p + (a & (pageBytes - 1));
@@ -156,17 +147,10 @@ class BackingStore
     std::uint8_t *
     poke(Addr a)
     {
-        auto &slot = _pages[a >> pageShift];
-        std::uint8_t *p = slot.load(std::memory_order_acquire);
+        std::uint8_t *&p = _pages[a >> pageShift];
         if (!p) {
-            auto *fresh = new std::uint8_t[pageBytes]();
-            if (slot.compare_exchange_strong(p, fresh,
-                                             std::memory_order_acq_rel)) {
-                p = fresh;
-                _allocated.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                delete[] fresh; // another shard published first
-            }
+            p = new std::uint8_t[pageBytes]();
+            ++_allocated;
         }
         return p + (a & (pageBytes - 1));
     }
@@ -174,15 +158,15 @@ class BackingStore
     void
     releaseAll()
     {
-        for (auto &slot : _pages) {
-            delete[] slot.load(std::memory_order_relaxed);
-            slot.store(nullptr, std::memory_order_relaxed);
+        for (std::uint8_t *&p : _pages) {
+            delete[] p;
+            p = nullptr;
         }
-        _allocated.store(0, std::memory_order_relaxed);
+        _allocated = 0;
     }
 
-    std::vector<std::atomic<std::uint8_t *>> _pages;
-    std::atomic<std::size_t> _allocated{0};
+    std::vector<std::uint8_t *> _pages;
+    std::size_t _allocated = 0;
 };
 
 } // namespace mem

@@ -7,13 +7,8 @@
  * recycled nodes — so the steady-state schedule->fire cycle performs
  * no heap allocations in either case.
  *
- * Each thread carves nodes from its own slab pool, but a node may be
- * freed from any thread: sharded runs construct an event on one shard
- * and destroy it on the shard that fires it. Foreign frees are pushed
- * onto the owning pool's lock-free return stack and reclaimed by the
- * owner before it carves a new slab; a pool whose thread has exited is
- * kept alive until its last outstanding node comes home (see
- * event_queue.cc).
+ * Each thread carves nodes from its own slab pool, and an event must
+ * be destroyed on the thread that built it (see event_queue.cc).
  */
 
 #ifndef COHESION_SIM_EVENT_HH

@@ -58,33 +58,10 @@ class EventQueue
 
     /**
      * Tick of the most recently fired event. Unlike now(), this is not
-     * disturbed by a bounded run() stopping at its limit, so a sharded
-     * chip can report the true final tick as the maximum of its
-     * queues' lastFired values.
+     * disturbed by a bounded run() stopping at its limit, so it is the
+     * true final tick of a drained run.
      */
     Tick lastFired() const { return _lastFired; }
-
-    /** Next schedule-order sequence number (checkpoint plumbing). */
-    std::uint64_t nextSeq() const { return _nextSeq; }
-
-    /**
-     * Restore-time adoption for one queue of a sharded machine: set
-     * the clock and counters of a drained, unused queue. The chip
-     * snapshot stores one canonical (tick, eventsRun, nextSeq) triple;
-     * every shard queue adopts the same tick and sequence origin so a
-     * snapshot restores identically for any shard count.
-     */
-    void
-    adopt(Tick now, std::uint64_t next_seq, std::uint64_t events_run = 0)
-    {
-        panic_if(_size != 0 || _eventsRun != 0,
-                 "adopting into a used event queue");
-        _now = now;
-        _lastFired = now;
-        _base = now;
-        _nextSeq = next_seq;
-        _eventsRun = events_run;
-    }
 
     /** Number of events currently pending. */
     std::size_t pending() const { return _size; }

@@ -31,7 +31,6 @@
 #define COHESION_SIM_FAULT_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -109,20 +108,14 @@ struct FaultPlan
 };
 
 /**
- * Sharded-determinism note: a single shared Rng stream would make fault
- * decisions depend on the host interleaving of shard threads. Each site
- * therefore owns one independent Rng *lane* per source component —
- * C2B fabric sites are laned by source cluster, B2C fabric sites and
- * TableStale by bank, and the flip sites (whose opportunities happen at
- * the orchestrator's fault pump) share one lane. Each lane's seed is
+ * Rng lanes: rather than one shared Rng stream, each site owns one
+ * independent Rng *lane* per source component — C2B fabric sites are
+ * laned by source cluster, B2C fabric sites and TableStale by bank, and
+ * the flip sites (whose opportunities happen at the run loop's fault
+ * pump) share one lane. Each lane's seed is
  * derived from (fault seed, site name, lane index), so a lane's draw
  * sequence depends only on the simulated traffic through that one
- * component — which the conservative window scheduler already keeps
- * identical for every shard count.
- *
- * Semantics change vs. the pre-sharded model: per-site injection caps
- * (`max`) apply *per lane*, because checking a global cap from
- * concurrent shards would race the decision itself.
+ * component. Per-site injection caps (`max`) apply *per lane*.
  */
 class FaultInjector
 {
@@ -130,7 +123,7 @@ class FaultInjector
     /**
      * Install @p plan and reset all counters and Rng lanes.
      * @p clusters / @p banks define the lane geometry (both are
-     * machine topology, independent of the shard count).
+     * machine topology).
      */
     void configure(const FaultPlan &plan, unsigned clusters = 1,
                    unsigned banks = 1);
@@ -180,8 +173,7 @@ class FaultInjector
      * lane's Rng and returns true (counting the injection) if a fault
      * fires. Every call consumes at most one draw from that lane, at a
      * deterministic point in the component's event order, so campaigns
-     * replay exactly at any shard count. Must run on the shard that
-     * owns the lane's component.
+     * replay exactly.
      */
     bool
     fire(FaultSite s, unsigned lane)
@@ -204,14 +196,9 @@ class FaultInjector
         ++laneAt(s, lane).injected;
     }
 
-    /** The machinery absorbed one fault injected at @p s. May be
-     *  called from any shard (recovery is observed at the receiver). */
-    void
-    countRecovered(FaultSite s)
-    {
-        _recovered[static_cast<unsigned>(s)].fetch_add(
-            1, std::memory_order_relaxed);
-    }
+    /** The machinery absorbed one fault injected at @p s (observed
+     *  at the receiver). */
+    void countRecovered(FaultSite s) { ++_recovered[static_cast<unsigned>(s)]; }
 
     /** Total injections at @p s, summed over lanes. Quiescent-only. */
     std::uint64_t
@@ -226,15 +213,14 @@ class FaultInjector
     std::uint64_t
     recovered(FaultSite s) const
     {
-        return _recovered[static_cast<unsigned>(s)].load(
-            std::memory_order_relaxed);
+        return _recovered[static_cast<unsigned>(s)];
     }
 
     std::uint64_t totalInjected() const;
     std::uint64_t totalRecovered() const;
 
     /** The fault pump's dedicated Rng stream (victim selection for
-     *  flip sites; orchestrator-only). */
+     *  flip sites). */
     Rng &pumpRng() { return _pumpRng; }
 
     /** Register per-site injected/recovered counters under @p prefix. */
@@ -242,8 +228,7 @@ class FaultInjector
 
     /** Checkpoint hooks: every lane's Rng stream and counters resume
      *  so post-restore fault decisions replay the uninterrupted
-     *  campaign exactly. Lane geometry is machine topology, so the
-     *  record is shard-count-independent. The plan itself is
+     *  campaign exactly. The plan itself is
      *  configuration, rebuilt by the caller before restore. */
     void
     checkpointState(Serializer &ser) const
@@ -259,8 +244,8 @@ class FaultInjector
                 ser.u64(l.injected);
             }
         }
-        for (const auto &v : _recovered)
-            ser.u64(v.load(std::memory_order_relaxed));
+        for (std::uint64_t v : _recovered)
+            ser.u64(v);
         for (std::uint64_t w : _pumpRng.rawState())
             ser.u64(w);
     }
@@ -289,8 +274,8 @@ class FaultInjector
                 l.injected = des.u64();
             }
         }
-        for (auto &v : _recovered)
-            v.store(des.u64(), std::memory_order_relaxed);
+        for (std::uint64_t &v : _recovered)
+            v = des.u64();
         std::array<std::uint64_t, 4> s;
         for (std::uint64_t &w : s)
             w = des.u64();
@@ -320,7 +305,7 @@ class FaultInjector
     std::uint64_t _seed = 0;
     FaultPlan _plan;
     std::array<std::vector<Lane>, numFaultSites> _lanes;
-    std::array<std::atomic<std::uint64_t>, numFaultSites> _recovered{};
+    std::array<std::uint64_t, numFaultSites> _recovered{};
     Rng _pumpRng;
 };
 

@@ -15,7 +15,6 @@
 #ifndef COHESION_SIM_LOGGING_HH
 #define COHESION_SIM_LOGGING_HH
 
-#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -66,60 +65,18 @@ class LogCapture
     LogCapture &operator=(const LogCapture &) = delete;
 
     /** Everything captured so far (owned by the capture). */
-    std::string
-    text() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _buf.str();
-    }
+    std::string text() const { return _buf.str(); }
 
     /** True if any output was captured. */
-    bool
-    empty() const
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        return _buf.str().empty();
-    }
+    bool empty() const { return _buf.str().empty(); }
 
-    /** Internal: sink hook used by the logging implementation. The
-     *  mutex serializes appends from shard worker threads that adopted
-     *  this capture (see LogSinkAdoption); it is uncontended on the
-     *  common single-threaded path and append is cold anyway. */
-    void
-    append(const std::string &line)
-    {
-        std::lock_guard<std::mutex> g(_mu);
-        _buf << line;
-    }
-
-    /** The innermost capture installed on this thread (null: stderr). */
-    static LogCapture *current();
+    /** Internal: sink hook used by the logging implementation. Only
+     *  the installing thread writes here, so no locking is needed. */
+    void append(const std::string &line) { _buf << line; }
 
   private:
-    mutable std::mutex _mu;
     std::ostringstream _buf;
     LogCapture *_prev; ///< Enclosing capture on this thread, if any.
-};
-
-/**
- * RAII: route this thread's log output to @p sink — a capture owned by
- * *another* thread (shard crew workers adopt the orchestrator's sink
- * for each window, so panic/fatal text from a worker lands in the
- * owning job's buffer instead of the shared console). A null sink is a
- * no-op adoption (output keeps going to this thread's own sink).
- */
-class LogSinkAdoption
-{
-  public:
-    explicit LogSinkAdoption(LogCapture *sink);
-    ~LogSinkAdoption();
-
-    LogSinkAdoption(const LogSinkAdoption &) = delete;
-    LogSinkAdoption &operator=(const LogSinkAdoption &) = delete;
-
-  private:
-    LogCapture *_prev;
-    bool _installed;
 };
 
 } // namespace sim

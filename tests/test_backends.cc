@@ -3,8 +3,7 @@
  * dir4b, dls) must be a drop-in implementation of the bank-side
  * protocol seam. Each backend is held to the same determinism
  * contract as the default protocol — bit-identical repeated runs,
- * bit-identical across shard counts, checkpoint/restore
- * indistinguishable from an uninterrupted session — plus the
+ * checkpoint/restore indistinguishable from an uninterrupted session — plus the
  * registry/trait surface the CLIs are built on.
  *
  * The auditor-mask test is the one that keeps "skipped" honest: under
@@ -60,21 +59,19 @@ struct Fingerprint
 };
 
 arch::MachineConfig
-backendConfig(const std::string &backend, unsigned shards = 1)
+backendConfig(const std::string &backend)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
     cfg.backend = backend;
-    cfg.shards = shards;
     return cfg;
 }
 
 /** One complete kernel run on @p backend, reduced to its
  *  deterministic fingerprint (same reduction as test_determinism). */
 Fingerprint
-runOnce(const std::string &kernel_name, const std::string &backend,
-        unsigned shards = 1)
+runOnce(const std::string &kernel_name, const std::string &backend)
 {
-    arch::MachineConfig cfg = backendConfig(backend, shards);
+    arch::MachineConfig cfg = backendConfig(backend);
     arch::Chip chip(cfg, runtime::Layout::tableBase);
     runtime::CohesionRuntime rt(chip);
 
@@ -202,8 +199,8 @@ class BackendGolden : public ::testing::TestWithParam<std::string>
 {
 };
 
-/** Every kernel, twice in-process and once on 3 shard threads: the
- *  fingerprint (finalTick, eventsRun, statHash) must not move. */
+/** Every kernel, twice in-process: the fingerprint (finalTick,
+ *  eventsRun, statHash) must not move. */
 TEST_P(BackendGolden, EveryKernelIsBitIdentical)
 {
     const std::string backend = GetParam();
@@ -215,9 +212,6 @@ TEST_P(BackendGolden, EveryKernelIsBitIdentical)
         EXPECT_EQ(a.finalTick, b.finalTick) << backend << '/' << kernel;
         EXPECT_EQ(a.eventsRun, b.eventsRun) << backend << '/' << kernel;
         EXPECT_EQ(a.statHash, b.statHash) << backend << '/' << kernel;
-        Fingerprint sharded = runOnce(kernel, backend, /*shards=*/3);
-        EXPECT_TRUE(a == sharded)
-            << backend << '/' << kernel << " --shards 3";
     }
 }
 

@@ -65,14 +65,6 @@ testConfig()
     return arch::MachineConfig::scaled(2);
 }
 
-arch::MachineConfig
-shardedConfig(unsigned shards)
-{
-    arch::MachineConfig cfg = testConfig();
-    cfg.shards = shards;
-    return cfg;
-}
-
 /** Cumulative session state, reduced to its deterministic core. The
  *  absolute tick and total event count come straight off the event
  *  queue, so a restore that reset either would show immediately. */
@@ -185,62 +177,6 @@ TEST(Checkpoint, ModeMismatchIsRejected)
     swcc.mode = arch::CoherenceMode::SWccOnly;
     harness::Session other(swcc, kernels::Params{}.seed);
     EXPECT_THROW(other.restore(blob), sim::SnapshotError);
-}
-
-// --- Shard-count independence (DESIGN.md §13) ---------------------------
-
-/** The snapshot bytes themselves must not depend on the shard count:
- *  the queue record is one canonical (tick, events, summed-seq)
- *  triple, the flight recorder stages into canonical merge order, and
- *  every histogram folds its per-shard lanes before export. Equal
- *  blobs make cross-shard restore trivially correct, so this is the
- *  strongest (and simplest) form of the cross-N checks below. */
-TEST(Checkpoint, SnapshotBytesAreShardCountInvariant)
-{
-    std::string reference;
-    for (unsigned shards : {1u, 2u, 4u}) {
-        harness::Session session(shardedConfig(shards),
-                                 kernels::Params{}.seed);
-        runOn(session, "sobel");
-        std::string blob = session.checkpoint();
-        EXPECT_FALSE(blob.empty());
-        if (shards == 1)
-            reference = blob;
-        else
-            EXPECT_EQ(reference, blob) << "--shards " << shards;
-    }
-}
-
-/** Cross-N restore, both directions: a snapshot taken on a sharded
- *  run resumes bit-exactly on a serial machine and vice versa. The
- *  reference is the uninterrupted serial double-run. */
-TEST(Checkpoint, RestoreAcrossShardCountsIsBitExact)
-{
-    harness::Session straight(testConfig(), kernels::Params{}.seed);
-    runOn(straight, "gjk");
-    runOn(straight, "gjk");
-    Fingerprint want = fingerprint(straight);
-    EXPECT_GT(want.finalTick, 0u);
-
-    struct Direction { unsigned from, to; };
-    for (Direction d : {Direction{1, 4}, Direction{4, 1}}) {
-        harness::Session first(shardedConfig(d.from),
-                               kernels::Params{}.seed);
-        runOn(first, "gjk");
-        std::string blob = first.checkpoint();
-
-        harness::Session resumed(shardedConfig(d.to),
-                                 kernels::Params{}.seed);
-        resumed.restore(blob);
-        runOn(resumed, "gjk");
-        Fingerprint got = fingerprint(resumed);
-        EXPECT_EQ(want.finalTick, got.finalTick)
-            << d.from << " -> " << d.to;
-        EXPECT_EQ(want.eventsRun, got.eventsRun)
-            << d.from << " -> " << d.to;
-        EXPECT_EQ(want.statHash, got.statHash)
-            << d.from << " -> " << d.to;
-    }
 }
 
 // --- CCKPT1 container ---------------------------------------------------

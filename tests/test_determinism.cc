@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/chip.hh"
 #include "arch/machine_config.hh"
+#include "coherence/auditor.hh"
 #include "kernels/registry.hh"
 #include "runtime/ctx.hh"
 #include "runtime/layout.hh"
@@ -49,21 +51,12 @@ struct Fingerprint
     }
 };
 
-/** One complete kernel run, reduced to its deterministic fingerprint.
- *  @p progress installs a hook on the shortest interval, maximising
- *  the number of extra event-queue burst boundaries. @p shards runs
- *  the chip on that many parallel shard threads (1 = serial). */
-Fingerprint
-runOnce(const std::string &kernel_name, bool progress = false,
-        unsigned shards = 1)
+/** Set @p kernel_name up on @p chip (scale 1), run it to quiescence
+ *  and verify it. @return the final tick. */
+sim::Tick
+runKernel(arch::Chip &chip, runtime::CohesionRuntime &rt,
+          const std::string &kernel_name)
 {
-    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
-    cfg.shards = shards;
-    arch::Chip chip(cfg, runtime::Layout::tableBase);
-    runtime::CohesionRuntime rt(chip);
-    if (progress)
-        chip.setProgressHook([](sim::Tick, std::uint64_t) {}, 0.0);
-
     kernels::Params params;
     params.scale = 1;
     auto kernel = kernels::kernelFactory(kernel_name)(params);
@@ -76,11 +69,27 @@ runOnce(const std::string &kernel_name, bool progress = false,
     for (auto &w : workers)
         w.start();
 
-    Fingerprint fp;
-    fp.finalTick = chip.runUntilQuiescent();
+    sim::Tick final_tick = chip.runUntilQuiescent();
     for (auto &w : workers)
         w.rethrow();
     kernel->verify(rt);
+    return final_tick;
+}
+
+/** One complete kernel run, reduced to its deterministic fingerprint.
+ *  @p progress installs a hook on the shortest interval, maximising
+ *  the number of extra event-queue burst boundaries. */
+Fingerprint
+runOnce(const std::string &kernel_name, bool progress = false)
+{
+    arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
+    arch::Chip chip(cfg, runtime::Layout::tableBase);
+    runtime::CohesionRuntime rt(chip);
+    if (progress)
+        chip.setProgressHook([](sim::Tick, std::uint64_t) {}, 0.0);
+
+    Fingerprint fp;
+    fp.finalTick = runKernel(chip, rt, kernel_name);
     fp.eventsRun = chip.totalEventsRun();
 
     sim::StatRegistry reg;
@@ -128,43 +137,82 @@ TEST(Determinism, ProfilerAndProgressDoNotPerturb)
     EXPECT_GT(p[sim::HostProfiler::Phase::EqDispatch].count, 0u);
 }
 
-/** The sharding golden (DESIGN.md §13): for every kernel, running the
- *  chip on 2 or 4 shard threads must reproduce the serial run bit for
- *  bit — same final tick, same total event count, same hash over the
- *  full flattened stat registry. Any cross-shard message escaping the
- *  router's canonical order, any component scheduled on the wrong
- *  queue, or any barrier-cadence drift shows up here as a mismatch on
- *  a specific kernel. */
-TEST(Determinism, ShardedRunIsBitIdenticalToSerial)
+/** The run loop's final-tick and cadence rule: runUntilQuiescent
+ *  leaves the clock on the last fired event, and a cadence fires only
+ *  while events are still pending past it. Audits land at entry + k *
+ *  period, so exactly the cadence ticks strictly before the final tick
+ *  may audit, and no sample row lies past the final tick. A cadence
+ *  that advanced a drained queue would show up here as an extra audit
+ *  pass and a final tick past the last event. */
+TEST(Determinism, RunEndsOnLastFiredEventWithNoTrailingCadence)
 {
-    for (const std::string &kernel : kernels::allKernelNames()) {
-        Fingerprint serial = runOnce(kernel, /*progress=*/false,
-                                     /*shards=*/1);
-        EXPECT_GT(serial.finalTick, 0u) << kernel;
-        EXPECT_GT(serial.eventsRun, 0u) << kernel;
-        for (unsigned shards : {2u, 4u}) {
-            Fingerprint sharded = runOnce(kernel, /*progress=*/false,
-                                          shards);
-            EXPECT_EQ(serial.finalTick, sharded.finalTick)
-                << kernel << " --shards " << shards;
-            EXPECT_EQ(serial.eventsRun, sharded.eventsRun)
-                << kernel << " --shards " << shards;
-            EXPECT_EQ(serial.statHash, sharded.statHash)
-                << kernel << " --shards " << shards;
-        }
+    {
+        // The edge case directly: the last event lands a few ticks
+        // before an audit and a sample cadence.
+        arch::Chip chip(arch::MachineConfig::scaled(2),
+                        runtime::Layout::tableBase);
+        chip.enableAudit(1000);
+        chip.enableOccupancySampling(1000);
+        bool fired = false;
+        chip.eq().schedule(995, [&fired] { fired = true; });
+        EXPECT_EQ(chip.runUntilQuiescent(), 995u);
+        EXPECT_TRUE(fired);
+        EXPECT_EQ(chip.eq().now(), 995u);
+        EXPECT_EQ(chip.auditor()->passes(), 0u);
+        EXPECT_TRUE(chip.timeSeries().data().rows.empty());
+    }
+    for (const char *kernel_name : {"heat", "cg", "kmeans"}) {
+        arch::Chip chip(arch::MachineConfig::scaled(2),
+                        runtime::Layout::tableBase);
+        runtime::CohesionRuntime rt(chip);
+        constexpr sim::Tick auditPeriod = 997;
+        chip.enableAudit(auditPeriod);
+        chip.enableOccupancySampling(499);
+
+        const sim::Tick entry = chip.eq().now();
+        const std::uint64_t passes0 = chip.auditor()->passes();
+        const sim::Tick final_tick = runKernel(chip, rt, kernel_name);
+
+        EXPECT_EQ(chip.eq().now(), chip.eq().lastFired()) << kernel_name;
+        EXPECT_EQ(final_tick, chip.eq().lastFired()) << kernel_name;
+        ASSERT_GT(final_tick, entry) << kernel_name;
+        EXPECT_EQ(chip.auditor()->passes() - passes0,
+                  (final_tick - entry - 1) / auditPeriod)
+            << kernel_name;
+        const auto &rows = chip.timeSeries().data().rows;
+        ASSERT_FALSE(rows.empty()) << kernel_name;
+        EXPECT_LE(rows.back().tick, final_tick) << kernel_name;
     }
 }
 
-/** Observers stay observers under sharding: the progress hook (which
- *  bounds window sizes at heartbeat cadence on shard 0's clock only
- *  via simulated time, never host time) must not move the sharded
- *  fingerprint either. */
-TEST(Determinism, ShardedProgressDoesNotPerturb)
+/** --progress heartbeats come from inside the run, not only from its
+ *  end: with the shortest interval the hook fires between dispatch
+ *  slices, never goes backwards, and its last beat is the final tick. */
+TEST(Determinism, ProgressHookBeatsDuringTheRun)
 {
-    Fingerprint base = runOnce("heat");
-    Fingerprint sharded = runOnce("heat", /*progress=*/true,
-                                  /*shards=*/4);
-    EXPECT_TRUE(base == sharded);
+    arch::Chip chip(arch::MachineConfig::scaled(2),
+                    runtime::Layout::tableBase);
+    runtime::CohesionRuntime rt(chip);
+    std::vector<std::pair<sim::Tick, std::uint64_t>> beats;
+    chip.setProgressHook(
+        [&beats](sim::Tick t, std::uint64_t events) {
+            beats.emplace_back(t, events);
+        },
+        0.0);
+    const sim::Tick final_tick = runKernel(chip, rt, "heat");
+
+    ASSERT_GE(beats.size(), 3u);
+    EXPECT_EQ(beats.back().first, final_tick);
+    EXPECT_EQ(beats.back().second, chip.totalEventsRun());
+    std::size_t mid_run = 0;
+    for (std::size_t i = 0; i < beats.size(); ++i) {
+        mid_run += beats[i].first < final_tick;
+        if (i) {
+            EXPECT_LE(beats[i - 1].first, beats[i].first);
+            EXPECT_LE(beats[i - 1].second, beats[i].second);
+        }
+    }
+    EXPECT_GE(mid_run, 2u);
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -180,6 +182,35 @@ TEST(EventQueue, RunOneExecutesExactlyOne)
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 3u);
     EXPECT_EQ(eq.pending(), 1u);
+}
+
+/** Captures past the inline buffer take the pooled path: nodes freed
+ *  by one round of events are recycled by the next, and a recycled
+ *  node must never hand a live capture's bytes to another event. */
+TEST(EventQueue, PooledCapturesSurviveRecycling)
+{
+    struct Fat
+    {
+        std::array<std::uint64_t, 16> words;
+    };
+    static_assert(sizeof(Fat) > sim::Event::inlineCapacity);
+
+    sim::EventQueue eq;
+    std::uint64_t fired = 0, bad = 0;
+    for (std::uint64_t round = 0; round < 8; ++round) {
+        for (std::uint64_t i = 0; i < 200; ++i) {
+            Fat f;
+            f.words.fill(round * 1000 + i);
+            eq.scheduleIn(i % 7, [f, round, i, &fired, &bad] {
+                for (std::uint64_t w : f.words)
+                    bad += w != round * 1000 + i;
+                ++fired;
+            });
+        }
+        eq.run();
+    }
+    EXPECT_EQ(fired, 8u * 200u);
+    EXPECT_EQ(bad, 0u);
 }
 
 } // namespace

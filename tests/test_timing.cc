@@ -76,21 +76,6 @@ TEST(Fabric, LatencyIsSymmetric)
     EXPECT_EQ(up, down);
 }
 
-TEST(Fabric, SendIsAlwaysBeyondTheLookahead)
-{
-    // The conservative window [B, B + lookahead - 1] is only safe if
-    // every nominal arrival is strictly past depart + lookahead.
-    arch::MachineConfig cfg = arch::MachineConfig::scaled(4);
-    arch::Fabric fabric(cfg);
-    for (int i = 0; i < 16; ++i) {
-        sim::Tick depart = 7 * i;
-        EXPECT_GT(fabric.c2bSend(0, 8, depart),
-                  depart + fabric.lookahead());
-        EXPECT_GT(fabric.b2cSend(0, 8, depart),
-                  depart + fabric.lookahead());
-    }
-}
-
 TEST(Fabric, CountsBytes)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(4);

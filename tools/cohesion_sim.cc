@@ -16,13 +16,10 @@
  *   --list-backends   print the registered backend names and exit
  *   --clusters N      clusters of 8 cores (default 4)
  *   --paper           full 1024-core Table 3 machine
- *   --shards N        run one simulation on N worker threads
- *                     (bit-identical results for any N; default 1)
  *   --scale N         workload scale (default 1)
  *   --seed N          workload seed
  *   --dir-entries N   per-bank directory entries (0 = infinite)
  *   --dir-assoc N     directory associativity (0 = fully associative)
- *   --dir4b           limited Dir4B sharer pointers
  *   --occupancy       sample directory occupancy every 1000 cycles
  *   --no-verify       skip numerical verification
  *   --csv             emit CSV instead of the report
@@ -79,10 +76,9 @@ usage(int code)
     std::cout <<
         "usage: cohesion-sim [--kernel NAME] [--mode swcc|hwcc|cohesion]\n"
         "                    [--backend NAME] [--list-backends]\n"
-        "                    [--clusters N] [--paper] [--shards N]\n"
-        "                    [--scale N]\n"
+        "                    [--clusters N] [--paper] [--scale N]\n"
         "                    [--seed N] [--dir-entries N] [--dir-assoc N]\n"
-        "                    [--dir4b] [--occupancy] [--no-verify]\n"
+        "                    [--occupancy] [--no-verify]\n"
         "                    [--table-cache N] [--trace CATEGORIES]\n"
         "                    [--csv] [--list]\n"
         "                    [--stats-json FILE] [--trace-json FILE]\n"
@@ -128,7 +124,6 @@ main(int argc, char **argv)
     kernels::Params params;
     coherence::DirectoryConfig dir =
         coherence::DirectoryConfig::optimistic();
-    bool dir4b = false;
     std::uint32_t table_cache = 0;
     harness::RunOptions opts;
     int latency_topn = 0;
@@ -164,12 +159,6 @@ main(int argc, char **argv)
             clusters = std::atoi(next("--clusters"));
         } else if (!std::strcmp(argv[i], "--paper")) {
             paper = true;
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            opts.shards = std::atoi(next("--shards"));
-            if (opts.shards < 1) {
-                std::cerr << "--shards must be >= 1\n";
-                usage(1);
-            }
         } else if (!std::strcmp(argv[i], "--scale")) {
             params.scale = std::atoi(next("--scale"));
         } else if (!std::strcmp(argv[i], "--seed")) {
@@ -178,8 +167,6 @@ main(int argc, char **argv)
             dir.entries = std::atoi(next("--dir-entries"));
         } else if (!std::strcmp(argv[i], "--dir-assoc")) {
             dir.assoc = std::atoi(next("--dir-assoc"));
-        } else if (!std::strcmp(argv[i], "--dir4b")) {
-            dir4b = true;
         } else if (!std::strcmp(argv[i], "--table-cache")) {
             table_cache = std::atoi(next("--table-cache"));
         } else if (!std::strcmp(argv[i], "--occupancy")) {
@@ -260,8 +247,6 @@ main(int argc, char **argv)
         std::cerr << "unknown mode: " << mode << '\n';
         usage(1);
     }
-    if (dir4b)
-        dir.sharerKind = coherence::SharerKind::LimitedPtr;
     cfg.directory = dir;
     cfg.tableCacheEntries = table_cache;
     if (!backend.empty() && !coherence::backendKnown(backend)) {
