@@ -11,7 +11,6 @@
 #include "coherence/line_profiler.hh"
 #include "sim/host_profiler.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace arch {
 
@@ -55,7 +54,6 @@ latClassName(unsigned c)
 Chip::Chip(const MachineConfig &config, mem::Addr table_base)
     : _config(normalized(config)),
       _backendTraits(*coherence::backendTraits(_config.backend)),
-      _tracer(_eq),
       _map(_config.numL3Banks, _config.numChannels, table_base),
       _dram(_map, _config.dram), _fabric(_config), _timeSeries(_eq)
 {
@@ -114,10 +112,10 @@ Chip::deliverRequest(unsigned cluster_id, Request req, unsigned data_words,
         // Atomics are excluded: a duplicated RMW executes twice.
         dup = req.type != ReqType::Atomic &&
               _faults.fire(FaultSite::FabricC2BDup, cluster_id);
-        if (drops || dup) {
-            TRACE(_tracer, sim::Category::Fault, "c2b ",
-                  reqTypeName(req.type), " 0x", std::hex, req.addr,
-                  std::dec, drops ? " dropped" : " duplicated");
+        if (dup) {
+            rec(sim::FlightRecorder::Ev::MsgDup,
+                sim::FlightRecorder::compChip, mem::lineBase(req.addr),
+                req.msgId, static_cast<std::uint8_t>(req.type));
         }
     }
     req.retries = static_cast<std::uint8_t>(drops);
@@ -190,10 +188,11 @@ Chip::sendResponse(unsigned bank_id, unsigned cluster_id, Response resp,
         // all other responses are deduplicated by msgId at the cluster.
         dup = resp.type != ReqType::Atomic &&
               _faults.fire(FaultSite::FabricB2CDup, bank_id);
-        if (drops || dup) {
-            TRACE(_tracer, sim::Category::Fault, "b2c ",
-                  reqTypeName(resp.type), " 0x", std::hex, resp.addr,
-                  std::dec, drops ? " dropped" : " duplicated");
+        if (dup) {
+            rec(sim::FlightRecorder::Ev::MsgDup,
+                sim::FlightRecorder::compChip, mem::lineBase(resp.addr),
+                resp.msgId, static_cast<std::uint8_t>(resp.type),
+                0x80000000u);
         }
     }
     resp.retries = static_cast<std::uint8_t>(drops);
@@ -421,7 +420,8 @@ Chip::faultPump()
     // per-component fault lanes.
     sim::Rng &rng = _faults.pumpRng();
 
-    auto flip_in = [&](cache::CacheArray &arr, FaultSite site, bool meta) {
+    auto flip_in = [&](cache::CacheArray &arr, std::uint16_t comp,
+                       FaultSite site, bool meta) {
         // Hand-rolled fire(): the injection only counts if the chosen
         // array has a valid line to corrupt.
         if (!_faults.armed(site) ||
@@ -430,23 +430,29 @@ Chip::faultPump()
         cache::Line *l = arr.nthValidLine(rng.next());
         if (!l)
             return;
+        unsigned bit = static_cast<unsigned>(
+            meta ? rng.below(2 * mem::wordsPerLine)
+                 : rng.below(mem::lineBytes * 8));
         if (meta)
-            l->flipMetaBit(
-                static_cast<unsigned>(rng.below(2 * mem::wordsPerLine)));
+            l->flipMetaBit(bit);
         else
-            l->flipDataBit(
-                static_cast<unsigned>(rng.below(mem::lineBytes * 8)));
+            l->flipDataBit(bit);
         _faults.countInjected(site);
-        TRACE(_tracer, sim::Category::Fault, sim::faultSiteName(site),
-              ": line 0x", std::hex, l->base);
+        rec(sim::FlightRecorder::Ev::BitFlip, comp, l->base, 0,
+            static_cast<std::uint8_t>(site), bit);
     };
 
-    flip_in(cluster(rng.below(numClusters())).l2(), FaultSite::L2DataFlip,
+    using FR = sim::FlightRecorder;
+    unsigned c = static_cast<unsigned>(rng.below(numClusters()));
+    flip_in(cluster(c).l2(), FR::compCluster(c), FaultSite::L2DataFlip,
             false);
-    flip_in(cluster(rng.below(numClusters())).l2(), FaultSite::L2MetaFlip,
+    c = static_cast<unsigned>(rng.below(numClusters()));
+    flip_in(cluster(c).l2(), FR::compCluster(c), FaultSite::L2MetaFlip,
             true);
-    flip_in(bank(rng.below(numBanks())).l3(), FaultSite::L3DataFlip, false);
-    flip_in(bank(rng.below(numBanks())).l3(), FaultSite::L3MetaFlip, true);
+    unsigned b = static_cast<unsigned>(rng.below(numBanks()));
+    flip_in(bank(b).l3(), FR::compBank(b), FaultSite::L3DataFlip, false);
+    b = static_cast<unsigned>(rng.below(numBanks()));
+    flip_in(bank(b).l3(), FR::compBank(b), FaultSite::L3MetaFlip, true);
 }
 
 void
@@ -602,16 +608,16 @@ Chip::enableLineProfiler(unsigned top_n)
 }
 
 void
-Chip::setWatchLine(mem::Addr addr)
+Chip::setRecordListener(RecordListener fn)
 {
-    _watchLine = mem::lineBase(addr);
+    _listener = std::move(fn);
     updateRecAny();
 }
 
 void
 Chip::updateRecAny()
 {
-    _recSlow = _profiler != nullptr || _watchLine != ~mem::Addr(0);
+    _recSlow = _profiler != nullptr || _listener != nullptr;
     _recAny = _recorder.enabled() || _recSlow;
 }
 
@@ -622,7 +628,7 @@ Chip::recSlow(sim::FlightRecorder::Ev kind, std::uint16_t comp,
 {
     if (_profiler)
         _profiler->observe(kind, line, a, b);
-    if (line == _watchLine) {
+    if (_listener) {
         sim::FlightRecorder::Record r;
         r.tick = _eq.now();
         r.line = line;
@@ -631,7 +637,7 @@ Chip::recSlow(sim::FlightRecorder::Ev kind, std::uint16_t comp,
         r.kind = static_cast<std::uint8_t>(kind);
         r.a = a;
         r.b = b;
-        inform("watch: ", describeRecord(r));
+        _listener(r);
     }
 }
 
@@ -687,27 +693,6 @@ Chip::postMortemHistory() const
         os << "  (" << lines.size() - maxLines
            << " more implicated lines omitted)\n";
     return os.str();
-}
-
-void
-Chip::attachJson(sim::TraceJsonWriter *w)
-{
-    _tracer.setJson(w);
-    if (!w) {
-        _timeSeries.setSink({});
-        return;
-    }
-    w->threadName(sim::TraceJsonWriter::machineTid, "machine");
-    for (unsigned b = 0; b < _banks.size(); ++b)
-        w->threadName(sim::TraceJsonWriter::bankTid(b),
-                      sim::cat("l3bank", b));
-    for (unsigned c = 0; c < _clusters.size(); ++c)
-        w->threadName(sim::TraceJsonWriter::clusterTid(c),
-                      sim::cat("cluster", c));
-    _timeSeries.setSink(
-        [w](sim::Tick t, const std::string &name, double v) {
-            w->counter(t, name, v);
-        });
 }
 
 void
@@ -807,7 +792,6 @@ Chip::checkpointState(sim::Serializer &ser) const
     _respRetries.checkpointState(ser);
     _retryExhausted.checkpointState(ser);
     ser.u64(_respDelivered);
-    ser.u64(_traceIdSeq);
     for (const auto &s : _occupancy)
         s.checkpointState(ser);
     _occupancyTotal.checkpointState(ser);
@@ -860,7 +844,6 @@ Chip::restoreState(sim::Deserializer &des)
     _respRetries.restoreState(des);
     _retryExhausted.restoreState(des);
     _respDelivered = des.u64();
-    _traceIdSeq = des.u64();
     for (auto &s : _occupancy)
         s.restoreState(des);
     _occupancyTotal.restoreState(des);
@@ -922,8 +905,6 @@ Chip::runUntilQuiescent()
             break; // quiescent
         if (next > limit) {
             std::string dump = inFlightDump() + postMortemHistory();
-            TRACE(_tracer, sim::Category::Watchdog,
-                  "watchdog: cycle limit hit; in-flight:\n", dump);
             throw DeadlockError(
                 sim::cat("watchdog: simulation exceeded ", limit,
                          " cycles (deadlock or runaway workload)"),
@@ -976,8 +957,6 @@ Chip::runUntilQuiescent()
             Progress cur = progress();
             if (_config.watchdogWindow && cur == last) {
                 std::string dump = inFlightDump() + postMortemHistory();
-                TRACE(_tracer, sim::Category::Watchdog,
-                      "watchdog: no forward progress; in-flight:\n", dump);
                 throw DeadlockError(
                     sim::cat("watchdog: no forward progress in ", window,
                              " ticks at t=", cadence,

@@ -35,7 +35,6 @@
 #include "sim/latency_accounting.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
 
 namespace coherence {
 class Auditor;
@@ -48,7 +47,7 @@ namespace arch {
  * Thrown by the deadlock/livelock watchdog in runUntilQuiescent when
  * the machine makes no forward progress for a full watchdog window (or
  * exceeds the absolute cycle limit). Carries the in-flight transaction
- * dump so the failure is diagnosable without rerunning under a tracer.
+ * dump so the failure is diagnosable without rerunning the workload.
  */
 class DeadlockError : public std::runtime_error
 {
@@ -85,7 +84,6 @@ class Chip
     mem::DramModel &dram() { return _dram; }
     Fabric &fabric() { return _fabric; }
     cohesion::CoarseRegionTable &coarseTable() { return _coarseTable; }
-    sim::Tracer &tracer() { return _tracer; }
 
     Cluster &cluster(unsigned i) { return *_clusters.at(i); }
     unsigned numClusters() const { return _clusters.size(); }
@@ -280,20 +278,26 @@ class Chip
      *  lines table. */
     void enableLineProfiler(unsigned top_n = 8);
 
-    /** Verbose-decode every recorder event touching @p addr's line to
-     *  the log (works even with the ring disabled). */
-    void setWatchLine(mem::Addr addr);
+    /**
+     * Hand every record to @p fn as it is emitted, in execution order
+     * (works even with the ring disabled; an empty function detaches).
+     * This is how --trace, --watch-line and --trace-json see the run.
+     */
+    using RecordListener =
+        std::function<void(const sim::FlightRecorder::Record &)>;
+    void setRecordListener(RecordListener fn);
 
     sim::FlightRecorder &recorder() { return _recorder; }
     const sim::FlightRecorder &recorder() const { return _recorder; }
     coherence::LineProfiler *lineProfiler() { return _profiler.get(); }
 
     /**
-     * Emit one protocol event. The disabled path is this single byte
-     * test, so instrumented hot paths stay effectively free when
-     * neither the recorder, the profiler nor a watched line is active;
-     * the ring store is inlined and the profiler/watch path is
-     * outlined. All three observe records in execution order.
+     * Emit one protocol event: the only place the simulator emits one.
+     * The disabled path is this single byte test, so instrumented hot
+     * paths stay effectively free when neither the recorder, the
+     * profiler nor a listener is active; the ring store is inlined and
+     * the profiler/listener path is outlined. All three observe
+     * records in execution order.
      */
     void
     rec(sim::FlightRecorder::Ev kind, std::uint16_t comp, mem::Addr line,
@@ -324,16 +328,6 @@ class Chip
     }
 
     std::uint64_t respRetries() const { return _respRetries.value(); }
-
-    /** Fresh id for an async trace span (chip-global sequence). */
-    std::uint64_t nextTraceId() { return ++_traceIdSeq; }
-
-    /**
-     * Attach (or detach, with nullptr) a structured trace sink: names
-     * the per-component tracks and mirrors time-series samples as
-     * counter events. The writer is not owned and must outlive the run.
-     */
-    void attachJson(sim::TraceJsonWriter *w);
 
     /** Register every chip-level stat under "chip." in @p reg. */
     void registerStats(sim::StatRegistry &reg) const;
@@ -411,7 +405,7 @@ class Chip
                       mem::Addr addr, std::uint32_t txn,
                       std::function<void(unsigned, const ProbeResult &)> done);
 
-    /** Feed one record to the line profiler and the watch log. */
+    /** Feed one record to the line profiler and the listener. */
     void recSlow(sim::FlightRecorder::Ev kind, std::uint16_t comp,
                  mem::Addr line, std::uint32_t txn, std::uint8_t a,
                  std::uint32_t b);
@@ -439,7 +433,6 @@ class Chip
     MachineConfig _config; ///< backend resolved.
     coherence::BackendTraits _backendTraits;
     sim::EventQueue _eq;
-    sim::Tracer _tracer;
     mem::AddressMap _map;
     mem::BackingStore _store;
     mem::DramModel _dram;
@@ -472,13 +465,12 @@ class Chip
     /** Stage-blame aggregation; deliberately not checkpointed —
      *  aggregates restart at restore (DESIGN.md §14). */
     sim::LatencyAccountant _latAcc;
-    std::uint64_t _traceIdSeq = 0;
 
     sim::FlightRecorder _recorder;
     std::unique_ptr<coherence::LineProfiler> _profiler;
-    mem::Addr _watchLine = ~mem::Addr(0);
-    bool _recAny = false;  ///< recorder, profiler or watch line active
-    bool _recSlow = false; ///< profiler or watch line active
+    RecordListener _listener;
+    bool _recAny = false;  ///< recorder, profiler or listener active
+    bool _recSlow = false; ///< profiler or listener active
     std::array<sim::Counter, numMsgClasses> _reqRetries;
     sim::Counter _respRetries;
     sim::Counter _retryExhausted;

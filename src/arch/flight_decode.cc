@@ -4,6 +4,7 @@
 
 #include "arch/protocol.hh"
 #include "cache/cache_array.hh"
+#include "sim/fault.hh"
 
 namespace arch {
 
@@ -180,14 +181,26 @@ describeRecordBody(const sim::FlightRecorder::Record &r)
         msg();
         break;
       case Ev::TxnBegin:
-        req_type();
         line();
         os << " txn#" << r.txn << " msg#" << r.b;
         break;
       case Ev::TxnEnd:
-        req_type();
         line();
         os << " txn#" << r.txn;
+        break;
+      case Ev::MsgDup:
+        req_type();
+        line();
+        msg();
+        os << ((r.b & 0x80000000u) ? " (response)" : " (request)");
+        break;
+      case Ev::BitFlip:
+        os << ' ' << sim::faultSiteName(static_cast<sim::FaultSite>(r.a));
+        line();
+        os << " bit " << r.b;
+        break;
+      case Ev::BarrierRelease:
+        os << " episode " << r.txn;
         break;
       case Ev::None:
       case Ev::numEvents:
@@ -202,6 +215,40 @@ describeRecord(const sim::FlightRecorder::Record &r)
     std::ostringstream os;
     os << "t=" << r.tick << ' ' << describeRecordBody(r);
     return os.str();
+}
+
+void
+TraceEncoder::add(const sim::FlightRecorder::Record &r)
+{
+    int tid = sim::TraceJsonWriter::machineTid;
+    unsigned idx = FR::compIndex(r.comp);
+    switch (FR::compKind(r.comp)) {
+      case 1:
+        tid = sim::TraceJsonWriter::clusterTid(idx);
+        break;
+      case 2:
+        tid = sim::TraceJsonWriter::bankTid(idx);
+        break;
+      default:
+        break;
+    }
+    if (!_named[r.comp]) {
+        _named[r.comp] = true;
+        _w.threadName(tid, FR::compName(r.comp));
+    }
+    Ev e = static_cast<Ev>(r.kind);
+    _w.instant(r.tick, tid, describeRecordBody(r), FR::evName(e));
+    if (e == Ev::TxnBegin || e == Ev::TxnEnd) {
+        // Keyed by bank and bank-local sequence: transactions of
+        // different banks interleave, so spans cannot nest.
+        std::uint64_t id = std::uint64_t(r.comp) << 32 | r.txn;
+        std::string name = FR::compName(r.comp) + " txn#" +
+                           std::to_string(r.txn);
+        if (e == Ev::TxnBegin)
+            _w.asyncBegin(id, r.tick, name, "txn");
+        else
+            _w.asyncEnd(id, r.tick, name, "txn");
+    }
 }
 
 } // namespace arch

@@ -153,7 +153,7 @@ class L3Bank
      * Checkpoint hooks. Only legal when no transaction coroutine is
      * live (then every line lock is also free — locks are erased on
      * release with no waiters). The transaction-id sequence serializes
-     * so post-restore trace/causal ids continue where they left off.
+     * so post-restore recorder causal ids continue where they left off.
      */
     void
     checkpointState(sim::Serializer &ser) const
@@ -223,9 +223,8 @@ class L3Bank
     }
 
   private:
-    /** Top-level protocol transaction for one request. @p trace_id is
-     *  the nonzero async-span id when a JSON trace sink is attached. */
-    sim::CoTask transaction(Request req, std::uint64_t trace_id);
+    /** Top-level protocol transaction for one request. */
+    sim::CoTask transaction(Request req);
 
     /** Atomic RMW at the bank (non-table addresses). */
     sim::CoTask handleAtomic(Request req, sim::lat::Cursor *lat);

@@ -19,7 +19,6 @@
 #include "kernels/kernel.hh"
 #include "sim/host_profiler.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
 
 namespace harness {
 
@@ -113,11 +112,13 @@ struct RunOptions
     bool sampleOccupancy = false;
     /** Skip numerical verification (sweep speed). */
     bool skipVerify = false;
-    /** Debug-trace categories to enable (sim/trace.hh). */
-    sim::Category traceMask = sim::Category::None;
+    /** Narrate recorded events of these kinds to the log as they
+     *  happen (FlightRecorder::parseCategories; 0: off). */
+    sim::FlightRecorder::KindMask traceMask = 0;
     /** Time-series sampling period (0: 1000 iff sampleOccupancy). */
     sim::Tick samplePeriod = 0;
-    /** Stream a Chrome trace-event JSON document here (not owned). */
+    /** Stream every recorded event as a Chrome trace-event JSON
+     *  document here (arch::TraceEncoder; not owned). */
     std::ostream *traceJson = nullptr;
     /** Dump the hierarchical stat registry as JSON here (not owned). */
     std::ostream *statsJson = nullptr;

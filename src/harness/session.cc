@@ -6,13 +6,13 @@
 #include <optional>
 #include <vector>
 
+#include "arch/flight_decode.hh"
 #include "harness/hostprof.hh"
 #include "harness/report.hh"
 #include "runtime/ctx.hh"
 #include "runtime/layout.hh"
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
-#include "sim/trace_json.hh"
 
 namespace harness {
 
@@ -119,7 +119,6 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     arch::Chip &chip = *_chip;
     runtime::CohesionRuntime &rt = *_rt;
 
-    chip.tracer().setMask(opts.traceMask);
     if (opts.audit)
         chip.enableAudit(opts.auditPeriod);
     // Later runs of a session (and restored sessions) keep the live
@@ -127,19 +126,46 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
     // of an uninterrupted session from a restored one.
     if (opts.recorderCapacity && !chip.recorder().enabled())
         chip.enableRecorder(opts.recorderCapacity);
-    if (opts.watchLine != ~mem::Addr(0))
-        chip.setWatchLine(opts.watchLine);
     if (unsigned top_n = opts.profileTopN ? opts.profileTopN
                                           : (opts.statsJson ? 8u : 0u))
         chip.enableLineProfiler(top_n);
     if (opts.latency)
         chip.enableLatencyAccounting();
 
-    std::optional<sim::TraceJsonWriter> trace_json;
+    // The recorder is the only emitter: --trace and --watch-line
+    // narrate its records and --trace-json encodes them, through one
+    // listener that lives for this run.
+    std::optional<arch::TraceEncoder> trace_json;
     if (opts.traceJson) {
         trace_json.emplace(*opts.traceJson);
-        chip.attachJson(&*trace_json);
+        chip.timeSeries().setSink(
+            [enc = &*trace_json](sim::Tick t, const std::string &name,
+                                 double v) { enc->counter(t, name, v); });
     }
+    const mem::Addr watch = opts.watchLine == ~mem::Addr(0)
+                                ? opts.watchLine
+                                : mem::lineBase(opts.watchLine);
+    if (opts.traceMask || watch != ~mem::Addr(0) || trace_json) {
+        chip.setRecordListener(
+            [&trace_json, mask = opts.traceMask,
+             watch](const sim::FlightRecorder::Record &r) {
+                auto kind = static_cast<sim::FlightRecorder::Ev>(r.kind);
+                if ((mask & sim::FlightRecorder::kindBit(kind)) ||
+                    r.line == watch)
+                    sim::logLine(arch::describeRecord(r));
+                if (trace_json)
+                    trace_json->add(r);
+            });
+    }
+    struct Detach
+    {
+        arch::Chip &chip;
+        ~Detach()
+        {
+            chip.setRecordListener({});
+            chip.timeSeries().setSink({});
+        }
+    } detach{chip};
 
     kernel.setup(rt);
 
@@ -289,7 +315,6 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
         sim::HostProfiler::Scope hp(
             sim::HostProfiler::Phase::TraceExport);
         trace_json->finish();
-        chip.attachJson(nullptr);
     }
     if (opts.hostProfile)
         r.hostProfile = sim::HostProfiler::threadSnapshot().since(prof0);

@@ -9,7 +9,8 @@
  * runs such a family on a work-stealing std::thread pool, one fully
  * isolated Machine per job:
  *
- *  - a job owns its Chip, runtime, kernel, StatRegistry and Tracer;
+ *  - a job owns its Chip (flight recorder included), runtime, kernel
+ *    and StatRegistry;
  *    nothing mutable is shared between concurrent jobs (the event
  *    capture pool is thread-local, log output is captured per job via
  *    sim::LogCapture, and every Rng is seeded from the job's own

@@ -1,7 +1,6 @@
 #include "runtime/runtime.hh"
 
 #include "cohesion/region_table.hh"
-#include "sim/trace_json.hh"
 
 namespace runtime {
 
@@ -42,12 +41,9 @@ Barrier::wait(arch::Core &core)
 void
 Barrier::releaseAll(std::uint64_t episode)
 {
-    TRACE(_chip.tracer(), sim::Category::Runtime, "barrier: episode ",
-          episode + 1, " released");
-    if (sim::TraceJsonWriter *w = _chip.tracer().json()) {
-        w->instant(_chip.eq().now(), sim::TraceJsonWriter::machineTid,
-                   sim::cat("barrier.release ep", episode + 1), "runtime");
-    }
+    _chip.rec(sim::FlightRecorder::Ev::BarrierRelease,
+              sim::FlightRecorder::compChip, 0,
+              static_cast<std::uint32_t>(episode + 1));
     sim::Tick when = _chip.eq().now() + _chip.config().netLatency;
     for (unsigned cl = 0; cl < _chip.numClusters(); ++cl) {
         _chip.eq().schedule(when, [this, cl, when]() {

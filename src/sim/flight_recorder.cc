@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "sim/logging.hh"
+
 namespace sim {
 
 namespace {
@@ -92,8 +94,9 @@ FlightRecorder::deserialize(std::string_view bytes, std::vector<Record> *out,
         return fail("unsupported dump version");
     if (h.recordBytes != sizeof(Record))
         return fail("record size mismatch (dump from another build?)");
-    std::size_t need = sizeof(h) + h.storedCount * sizeof(Record);
-    if (bytes.size() < need)
+    // Divide rather than multiply: a corrupt count must not wrap the
+    // size check and then fail the allocation.
+    if (h.storedCount > (bytes.size() - sizeof(h)) / sizeof(Record))
         return fail("dump truncated: fewer records than header claims");
     out->resize(h.storedCount);
     if (h.storedCount)
@@ -169,9 +172,79 @@ FlightRecorder::evName(Ev e)
       case Ev::TxnBegin:      return "txn.begin";
       case Ev::TxnEnd:        return "txn.end";
       case Ev::RetransmitExhausted: return "msg.retransmit-exhausted";
+      case Ev::MsgDup:        return "msg.dup";
+      case Ev::BitFlip:       return "fault.bitflip";
+      case Ev::BarrierRelease: return "barrier.release";
       case Ev::numEvents:     break;
     }
     return "unknown";
+}
+
+const char *
+FlightRecorder::categoryOf(Ev e)
+{
+    switch (e) {
+      case Ev::Fill:
+      case Ev::Evict:
+      case Ev::Writeback:
+      case Ev::WbAck:
+      case Ev::SwccFlush:
+      case Ev::SwccInv:
+        return "cache";
+      case Ev::TableRead:
+      case Ev::TableUpdate:
+      case Ev::TransBegin:
+      case Ev::TransStep:
+      case Ev::TransEnd:
+        return "transition";
+      case Ev::MsgDrop:
+      case Ev::MsgRetransmit:
+      case Ev::RetransmitExhausted:
+      case Ev::MsgDup:
+      case Ev::BitFlip:
+        return "fault";
+      case Ev::BarrierRelease:
+        return "runtime";
+      case Ev::MsgSend:
+      case Ev::MsgRecv:
+      case Ev::RespSend:
+      case Ev::RespRecv:
+      case Ev::ProbeSend:
+      case Ev::ProbeRecv:
+      case Ev::ProbeAck:
+      case Ev::DirInsert:
+      case Ev::DirState:
+      case Ev::DirErase:
+      case Ev::TxnBegin:
+      case Ev::TxnEnd:
+        return "protocol";
+      case Ev::None:
+      case Ev::numEvents:
+        break;
+    }
+    return "none";
+}
+
+FlightRecorder::KindMask
+FlightRecorder::parseCategories(std::string_view spec)
+{
+    KindMask mask = 0;
+    while (!spec.empty()) {
+        std::size_t comma = spec.find(',');
+        std::string_view tok = spec.substr(0, comma);
+        spec = comma == spec.npos ? "" : spec.substr(comma + 1);
+        if (tok.empty())
+            continue;
+        KindMask hit = 0;
+        for (unsigned k = 1; k < unsigned(Ev::numEvents); ++k) {
+            Ev e = static_cast<Ev>(k);
+            if (tok == "all" || tok == categoryOf(e))
+                hit |= kindBit(e);
+        }
+        fatal_if(!hit, "unknown trace category: ", tok);
+        mask |= hit;
+    }
+    return mask;
 }
 
 const char *

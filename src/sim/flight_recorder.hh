@@ -68,6 +68,11 @@ class FlightRecorder
         TxnEnd,     ///< bank transaction retired. txn=bank seq.
         RetransmitExhausted, ///< drop-retransmit budget spent; message
                              ///< force-delivered. a=ReqType, b=drops.
+        MsgDup,     ///< fabric delivered a second copy. a=ReqType,
+                    ///< b=0x80000000 for a response, txn=msgId.
+        BitFlip,    ///< fault pump flipped a bit of a resident line.
+                    ///< a=FaultSite, b=bit index.
+        BarrierRelease, ///< every party arrived; txn=episode (1-based).
         numEvents,
     };
 
@@ -192,6 +197,23 @@ class FlightRecorder
     /** Stable lowercase name for an event kind ("msg.send", ...). */
     static const char *evName(Ev e);
     static const char *stepName(Step s);
+
+    /** A set of event kinds, bit 1 << Ev. */
+    using KindMask = std::uint64_t;
+    static_assert(static_cast<unsigned>(Ev::numEvents) <= 64);
+    static constexpr KindMask
+    kindBit(Ev e)
+    {
+        return KindMask(1) << static_cast<unsigned>(e);
+    }
+
+    /** The --trace category of @p e: "protocol", "cache",
+     *  "transition", "fault" or "runtime" (each kind has one). */
+    static const char *categoryOf(Ev e);
+
+    /** Parse "protocol,cache,..." or "all" into the kinds of the named
+     *  categories (empty: none). fatal() on an unknown category. */
+    static KindMask parseCategories(std::string_view spec);
 
     /**
      * Checkpoint hooks: the ring contents and write cursor resume so a

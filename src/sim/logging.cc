@@ -77,6 +77,12 @@ informImpl(const std::string &msg)
         emitLine("info: " + msg + "\n");
 }
 
+void
+logLine(const std::string &msg)
+{
+    emitLine(msg + "\n");
+}
+
 LogCapture::LogCapture() : _prev(tlsCapture)
 {
     tlsCapture = this;

@@ -44,6 +44,10 @@ void warnImpl(const std::string &msg);
 /** Print an informational message to the thread's log sink. */
 void informImpl(const std::string &msg);
 
+/** Print @p msg as one line to the thread's log sink, whatever the
+ *  verbosity: output the caller asked for (--trace narration). */
+void logLine(const std::string &msg);
+
 /** Enable/disable inform() output (benches silence it). Process-wide. */
 void setVerbose(bool verbose);
 bool verbose();

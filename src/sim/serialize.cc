@@ -11,7 +11,8 @@ namespace {
 // is a separate field so "wrong version" and "not a snapshot" produce
 // distinct diagnostics.
 constexpr char magic[8] = {'C', 'C', 'K', 'P', 'T', '1', 0, 0};
-constexpr std::uint32_t formatVersion = 1;
+// Version 2: the chip section lost its trace-span id counter.
+constexpr std::uint32_t formatVersion = 2;
 
 void
 putU64(std::string &out, std::uint64_t v)

@@ -18,10 +18,13 @@
 #include "arch/chip.hh"
 #include "arch/machine_config.hh"
 #include "coherence/auditor.hh"
+#include "harness/session.hh"
 #include "kernels/registry.hh"
 #include "runtime/ctx.hh"
 #include "runtime/layout.hh"
+#include "sim/flight_recorder.hh"
 #include "sim/host_profiler.hh"
+#include "sim/logging.hh"
 #include "sim/stat_registry.hh"
 
 namespace {
@@ -100,6 +103,44 @@ runOnce(const std::string &kernel_name, bool progress = false)
     return fp;
 }
 
+/** runOnce traced every way a run can be: all --trace categories, a
+ *  --watch-line and a --trace-json stream, through the Session's
+ *  record listener. Ring and auditor stay off, as in runOnce, so the
+ *  tracing is the only difference. */
+Fingerprint
+runTraced(const std::string &kernel_name)
+{
+    kernels::Params params;
+    params.scale = 1;
+    harness::Session session(arch::MachineConfig::scaled(2), params.seed);
+    auto kernel = kernels::kernelFactory(kernel_name)(params);
+    harness::RunOptions opts;
+    opts.audit = false;
+    opts.recorderCapacity = 0;
+    opts.traceMask = sim::FlightRecorder::parseCategories("all");
+    std::ostringstream json;
+    opts.traceJson = &json;
+    opts.watchLine = runtime::Layout::tableBase;
+
+    Fingerprint fp;
+    {
+        sim::LogCapture narration;
+        harness::RunResult r = session.run(*kernel, opts);
+        fp.finalTick = r.cycles;
+        fp.eventsRun = r.eventsRun;
+        EXPECT_NE(narration.text().find("barrier.release"),
+                  std::string::npos);
+    }
+    EXPECT_NE(json.str().find("\"ph\":\"b\""), std::string::npos);
+
+    sim::StatRegistry reg;
+    session.chip().registerStats(reg);
+    std::ostringstream csv;
+    reg.dumpCsv(csv);
+    fp.statHash = fnv1a(csv.str());
+    return fp;
+}
+
 TEST(Determinism, RepeatedRunIsBitIdentical)
 {
     Fingerprint a = runOnce("heat");
@@ -113,9 +154,10 @@ TEST(Determinism, RepeatedRunIsBitIdentical)
     EXPECT_GT(a.eventsRun, 0u);
 }
 
-/** The host profiler and the progress hook are strictly observers:
- *  the golden fingerprint (which hashes the chip's stat registry —
- *  host.* never registers there) must not move when either is on. */
+/** The host profiler, the progress hook and tracing are strictly
+ *  observers: the golden fingerprint (which hashes the chip's stat
+ *  registry — host.* never registers there) must not move when any
+ *  of them is on. */
 TEST(Determinism, ProfilerAndProgressDoNotPerturb)
 {
     Fingerprint base = runOnce("heat");
@@ -127,10 +169,12 @@ TEST(Determinism, ProfilerAndProgressDoNotPerturb)
     Fingerprint both = runOnce("heat", /*progress=*/true);
     sim::HostProfiler::disable();
     Fingerprint progressed = runOnce("heat", /*progress=*/true);
+    Fingerprint traced = runTraced("heat");
 
     EXPECT_TRUE(base == profiled);
     EXPECT_TRUE(base == progressed);
     EXPECT_TRUE(base == both);
+    EXPECT_TRUE(base == traced);
 
     // And the profiler actually observed the profiled runs.
     sim::HostProfiler::Profile p = sim::HostProfiler::threadSnapshot();

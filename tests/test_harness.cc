@@ -11,7 +11,7 @@
 #include "arch/msg.hh"
 #include "harness/report.hh"
 #include "harness/table.hh"
-#include "sim/trace.hh"
+#include "sim/flight_recorder.hh"
 
 namespace {
 
@@ -93,30 +93,26 @@ TEST(Report, CsvHasHeaderAndRows)
     EXPECT_NE(out.find("sim.cycles,5"), std::string::npos);
 }
 
-TEST(Trace, ParseCategories)
+TEST(TraceCategories, ParseSelectsTheNamedCategoriesKinds)
 {
-    using sim::Category;
-    EXPECT_EQ(sim::parseCategories(""), Category::None);
-    EXPECT_EQ(sim::parseCategories("all"), Category::All);
-    Category c = sim::parseCategories("protocol,transition");
-    EXPECT_TRUE(sim::any(c, Category::Protocol));
-    EXPECT_TRUE(sim::any(c, Category::Transition));
-    EXPECT_FALSE(sim::any(c, Category::Dram));
-    EXPECT_THROW(sim::parseCategories("bogus"), std::runtime_error);
-}
+    using FR = sim::FlightRecorder;
+    using Ev = FR::Ev;
+    EXPECT_EQ(FR::parseCategories(""), 0u);
+    FR::KindMask all = FR::parseCategories("all");
+    EXPECT_EQ(all & FR::kindBit(Ev::None), 0u);
+    for (unsigned k = 1; k < unsigned(Ev::numEvents); ++k)
+        EXPECT_NE(all & FR::kindBit(Ev(k)), 0u) << k;
 
-TEST(Trace, RecordsOnlyEnabledCategories)
-{
-    sim::EventQueue eq;
-    sim::Tracer tracer(eq);
-    std::ostringstream os;
-    tracer.setStream(&os);
-    tracer.setMask(sim::Category::Protocol);
-    TRACE(tracer, sim::Category::Protocol, "hello ", 42);
-    TRACE(tracer, sim::Category::Dram, "ignored");
-    EXPECT_EQ(tracer.records(), 1u);
-    EXPECT_NE(os.str().find("[protocol] hello 42"), std::string::npos);
-    EXPECT_EQ(os.str().find("ignored"), std::string::npos);
+    FR::KindMask m = FR::parseCategories("protocol,,transition");
+    EXPECT_NE(m & FR::kindBit(Ev::MsgRecv), 0u);
+    EXPECT_NE(m & FR::kindBit(Ev::TxnBegin), 0u);
+    EXPECT_NE(m & FR::kindBit(Ev::TransStep), 0u);
+    EXPECT_EQ(m & FR::kindBit(Ev::Fill), 0u);
+    EXPECT_EQ(m & FR::kindBit(Ev::BarrierRelease), 0u);
+
+    EXPECT_THROW(FR::parseCategories("bogus"), std::runtime_error);
+    // Categories that no event kind belongs to are unknown too.
+    EXPECT_THROW(FR::parseCategories("protocol,dram"), std::runtime_error);
 }
 
 TEST(Table, AlignsAndFormats)

@@ -25,7 +25,8 @@
 #include "sim/json.hh"
 #include "sim/stat_registry.hh"
 #include "sim/timeseries.hh"
-#include "sim/trace.hh"
+#include "sim/flight_recorder.hh"
+#include "sim/logging.hh"
 #include "sim/trace_json.hh"
 
 namespace {
@@ -376,50 +377,57 @@ TEST(TraceJson, DestructorClosesTheDocument)
     EXPECT_EQ(doc.find("traceEvents")->arr.size(), 1u);
 }
 
-// --------------------------------------------------------------- Tracer
+// ---------------------------------------------------- trace categories
 
-TEST(Tracer, CategoryNamesRoundTripThroughParser)
+/** Every kind belongs to exactly one category, so the categories
+ *  partition "all" and each category name selects its own kinds. */
+TEST(TraceCategories, EveryKindMapsToExactlyOneCategory)
 {
-    using sim::Category;
-    for (Category c : {Category::Protocol, Category::Cache,
-                       Category::Transition, Category::Net,
-                       Category::Dram, Category::Runtime}) {
-        EXPECT_EQ(sim::parseCategories(sim::categoryName(c)), c);
+    using FR = sim::FlightRecorder;
+    using Ev = FR::Ev;
+    FR::KindMask seen = 0;
+    for (const char *cat :
+         {"protocol", "cache", "transition", "fault", "runtime"}) {
+        FR::KindMask m = FR::parseCategories(cat);
+        EXPECT_NE(m, 0u) << cat;
+        EXPECT_EQ(m & seen, 0u) << cat << " overlaps another category";
+        seen |= m;
+        for (unsigned k = 1; k < unsigned(Ev::numEvents); ++k) {
+            bool in = (m & FR::kindBit(Ev(k))) != 0;
+            EXPECT_EQ(in, std::string(FR::categoryOf(Ev(k))) == cat)
+                << FR::evName(Ev(k));
+        }
     }
+    EXPECT_EQ(seen, FR::parseCategories("all"));
+
+    EXPECT_STREQ(FR::categoryOf(Ev::BarrierRelease), "runtime");
+    EXPECT_STREQ(FR::categoryOf(Ev::MsgDup), "fault");
+    EXPECT_STREQ(FR::categoryOf(Ev::BitFlip), "fault");
+    EXPECT_STREQ(FR::categoryOf(Ev::Evict), "cache");
+    EXPECT_STREQ(FR::categoryOf(Ev::TransBegin), "transition");
+    EXPECT_STREQ(FR::categoryOf(Ev::ProbeSend), "protocol");
 }
 
-TEST(Tracer, MirrorsTextRecordsAsJsonInstants)
+/** --trace narrates the recorder's records through the log sink, ring
+ *  on or off: a runtime-only mask shows the barrier releases and
+ *  nothing else. */
+TEST(TraceCategories, RuntimeMaskNarratesBarrierReleases)
 {
-    sim::EventQueue eq;
-    sim::Tracer tracer(eq);
-    std::ostringstream text;
-    tracer.setStream(&text);
-
-    std::ostringstream json;
-    sim::TraceJsonWriter w(json);
-    tracer.setJson(&w);
-    EXPECT_EQ(tracer.json(), &w);
-
-    tracer.setMask(sim::Category::Net);
-    TRACE(tracer, sim::Category::Net, "msg ", 7);
-    TRACE(tracer, sim::Category::Dram, "masked out");
-    EXPECT_EQ(tracer.records(), 1u);
-    EXPECT_EQ(w.events(), 1u);
-    EXPECT_NE(text.str().find("msg 7"), std::string::npos);
-
-    tracer.setJson(nullptr);
-    TRACE(tracer, sim::Category::Net, "text only");
-    EXPECT_EQ(tracer.records(), 2u);
-    EXPECT_EQ(w.events(), 1u);
-
-    w.finish();
-    sim::JsonValue doc;
-    std::string err;
-    ASSERT_TRUE(sim::parseJson(json.str(), &doc, &err)) << err;
-    const sim::JsonValue &ev = doc.find("traceEvents")->arr.at(0);
-    EXPECT_EQ(ev.find("ph")->str, "i");
-    EXPECT_EQ(ev.find("name")->str, "msg 7");
-    EXPECT_EQ(ev.find("cat")->str, "net");
+    harness::RunOptions opts;
+    opts.recorderCapacity = 0;
+    opts.traceMask = sim::FlightRecorder::parseCategories("runtime");
+    std::string text;
+    {
+        sim::LogCapture cap;
+        harness::runKernel(arch::MachineConfig::scaled(2),
+                           kernels::kernelFactory("heat"),
+                           kernels::Params{}, opts);
+        text = cap.text();
+    }
+    EXPECT_NE(text.find("chip barrier.release episode 1\n"),
+              std::string::npos)
+        << text.substr(0, 400);
+    EXPECT_EQ(text.find("msg.recv"), std::string::npos);
 }
 
 // ---------------------------------------------------- message classing

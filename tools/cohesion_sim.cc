@@ -24,7 +24,12 @@
  *   --no-verify       skip numerical verification
  *   --csv             emit CSV instead of the report
  *   --stats-json F    hierarchical statistics as JSON ("-" = stdout)
- *   --trace-json F    Chrome trace-event / Perfetto JSON trace
+ *   --trace CATS      narrate recorded events of these categories
+ *                     (protocol,cache,transition,fault,runtime,all)
+ *                     to stderr as they happen
+ *   --trace-json F    every recorded event as Chrome trace-event /
+ *                     Perfetto JSON (what cohesion-trace --perfetto
+ *                     writes from a dump of the same run)
  *   --sample-period N sample the time series every N cycles
  *   --timeseries-csv F  sampled series as tidy CSV ("-" = stdout)
  *   --fault-plan F    JSON fault campaign (sim/fault.hh schema)
@@ -35,6 +40,7 @@
  *   --recorder-dump F write the binary recorder dump after the run
  *                     (decode with cohesion-trace)
  *   --watch-line A    narrate recorded events touching line A live
+ *                     (needs no ring: --recorder 0 still narrates)
  *   --latency         per-transaction latency accounting (adds the
  *                     chip.latency.* / latency.* blame breakdown;
  *                     observer-only, results are byte-identical)
@@ -64,7 +70,6 @@
 #include "sim/fault.hh"
 #include "sim/serialize.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 #include "harness/runner.hh"
 #include "kernels/registry.hh"
 
@@ -90,8 +95,9 @@ usage(int code)
         "                    [--latency] [--latency-topn N]\n"
         "                    [--host-profile FILE] [--progress[=FILE]]\n"
         "                    [--checkpoint-at FILE] [--restore FILE]\n"
-        "  trace categories: protocol,cache,transition,net,dram,\n"
-        "                    runtime,watchdog,fault,all\n"
+        "  --trace, --watch-line and --trace-json decode the flight\n"
+        "  recorder's events as they happen (ring on or off)\n"
+        "  trace categories: protocol,cache,transition,fault,runtime,all\n"
         "  FILE may be \"-\" for stdout (except --trace-json)\n";
     std::exit(code);
 }
@@ -221,8 +227,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--watch-line")) {
             opts.watchLine =
                 std::strtoull(next("--watch-line"), nullptr, 0);
-            // Narration goes through inform(), which is off by default.
-            sim::setVerbose(true);
         } else if (!std::strcmp(argv[i], "--list")) {
             for (const auto &k : kernels::allKernelNames())
                 std::cout << k << '\n';
@@ -308,7 +312,7 @@ main(int argc, char **argv)
     }
 
     try {
-        opts.traceMask = sim::parseCategories(trace);
+        opts.traceMask = sim::FlightRecorder::parseCategories(trace);
         harness::RunResult r = harness::runKernel(
             cfg, kernels::kernelFactory(kernel), params, opts);
         if (!timeseries_csv.empty())

@@ -18,6 +18,9 @@
  *                    the bank transactions TxnBegin binds to it)
  *   --tick-range A:B only events with A <= tick <= B
  *   --perfetto FILE  write the filtered events as trace-event JSON
+ *                    (the encoding of cohesion-sim --trace-json:
+ *                    an instant per record on its component's track,
+ *                    an async span per bank transaction)
  *   --limit N        print at most the last N matching events
  *   --quiet          suppress the narrative (useful with --perfetto)
  *   --critical-path  with --txn N: walk the line-lock blocker chain of
@@ -60,7 +63,9 @@ usage(int code)
         "usage: cohesion-trace [--line 0xADDR] [--txn N]\n"
         "                      [--tick-range A:B] [--perfetto FILE]\n"
         "                      [--limit N] [--quiet]\n"
-        "                      [--critical-path] DUMP.cfr\n";
+        "                      [--critical-path] DUMP.cfr\n"
+        "  --perfetto encodes the matched records exactly as\n"
+        "  cohesion-sim --trace-json streams them live\n";
     std::exit(code);
 }
 
@@ -417,30 +422,12 @@ main(int argc, char **argv)
             std::cerr << "cannot open " << perfetto << '\n';
             return 1;
         }
-        sim::TraceJsonWriter w(out);
-        std::set<std::uint16_t> named;
-        for (const FlightRecorder::Record *r : matched) {
-            int tid = sim::TraceJsonWriter::machineTid;
-            unsigned idx = FlightRecorder::compIndex(r->comp);
-            switch (FlightRecorder::compKind(r->comp)) {
-              case 1:
-                tid = sim::TraceJsonWriter::clusterTid(idx);
-                break;
-              case 2:
-                tid = sim::TraceJsonWriter::bankTid(idx);
-                break;
-              default:
-                break;
-            }
-            if (named.insert(r->comp).second)
-                w.threadName(tid, FlightRecorder::compName(r->comp));
-            w.instant(r->tick, tid, arch::describeRecordBody(*r),
-                      FlightRecorder::evName(
-                          static_cast<FlightRecorder::Ev>(r->kind)));
-        }
-        w.finish();
+        arch::TraceEncoder enc(out);
+        for (const FlightRecorder::Record *r : matched)
+            enc.add(*r);
+        enc.finish();
         if (!quiet)
-            std::cout << "wrote " << w.events() << " trace events to "
+            std::cout << "wrote " << enc.events() << " trace events to "
                       << perfetto << '\n';
     }
     return 0;
