@@ -746,8 +746,8 @@ Chip::checkpointState(sim::Serializer &ser) const
     if (!_eq.empty())
         throw sim::SnapshotError("checkpoint with events pending");
     for (const auto &b : _banks) {
-        // Finished coroutine frames linger in the running list until
-        // the next request arrives; they are not in-flight work.
+        // Finished coroutine frames wait for the next request arrival
+        // to retire them; they are not in-flight work.
         b->pruneTransactions();
         if (b->inFlight() != 0) {
             throw sim::SnapshotError(

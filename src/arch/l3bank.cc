@@ -30,36 +30,31 @@ L3Bank::L3Bank(Chip &chip, unsigned id)
 void
 L3Bank::pruneTransactions()
 {
-    for (auto it = _running.begin(); it != _running.end();) {
-        if (it->done()) {
-            it->rethrow();
-            auto done_it = it++;
-            // Recycle the list node instead of freeing it: the frame
-            // slot moves to the spare list and the next transaction
-            // reuses it, so steady-state request arrival allocates no
-            // list nodes (the coroutine frame itself is unavoidable).
-            *done_it = sim::CoTask();
-            _spare.splice(_spare.begin(), _running, done_it);
-        } else {
-            ++it;
-        }
+    while (!_finished.empty()) {
+        const std::uint32_t slot = _finished.back();
+        // A throwing frame stays listed, so the next call rethrows it
+        // again.
+        _frames[slot].rethrow();
+        _frames[slot] = sim::CoTask();
+        _finished.pop_back();
+        _freeSlots.push_back(slot);
     }
-    // Bound the spare pool: a fan-in burst can briefly strand many
-    // frames; keep a generous working set and return the rest.
-    while (_spare.size() > 256)
-        _spare.pop_back();
 }
 
-sim::CoTask &
+std::uint32_t
 L3Bank::adoptTransaction(sim::CoTask &&task)
 {
-    if (_spare.empty()) {
-        _running.push_back(std::move(task));
+    std::uint32_t slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(_frames.size());
+        _frames.emplace_back();
     } else {
-        _running.splice(_running.end(), _spare, _spare.begin());
-        _running.back() = std::move(task);
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
     }
-    return _running.back();
+    task.recordFinishIn(_finished, slot);
+    _frames[slot] = std::move(task);
+    return slot;
 }
 
 void
@@ -74,7 +69,7 @@ L3Bank::receiveRequest(const Request &req)
     _chip.rec(FR::Ev::MsgRecv, FR::compBank(_id), mem::lineBase(req.addr),
               req.msgId, static_cast<std::uint8_t>(req.type), req.cluster);
     pruneTransactions();
-    adoptTransaction(transaction(req)).start();
+    _frames[adoptTransaction(transaction(req))].start();
 }
 
 sim::CoTask
@@ -559,7 +554,7 @@ void
 L3Bank::debugWedgeLine(mem::Addr base)
 {
     pruneTransactions();
-    adoptTransaction(wedge(mem::lineBase(base))).start();
+    _frames[adoptTransaction(wedge(mem::lineBase(base)))].start();
 }
 
 sim::CoTask

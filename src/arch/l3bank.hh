@@ -26,7 +26,6 @@
 #define COHESION_ARCH_L3BANK_HH
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -96,11 +95,13 @@ class L3Bank
     /** Accept a request (called at the fabric arrival event). */
     void receiveRequest(const Request &req);
 
-    /** In-flight protocol transactions (queue-depth proxy). */
+    /** In-flight protocol transactions (queue-depth proxy): adopted
+     *  frames not yet retired by pruneTransactions, so a finished
+     *  frame counts until the next request arrival retires it. */
     unsigned
     inFlight() const
     {
-        return static_cast<unsigned>(_running.size());
+        return static_cast<unsigned>(_frames.size() - _freeSlots.size());
     }
 
     /** One live protocol transaction (watchdog in-flight dump). */
@@ -144,9 +145,11 @@ class L3Bank
     void registerStats(sim::StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Drop finished transaction frames (nodes recycle via _spare).
-     *  Called lazily on request arrival; the checkpoint path calls it
-     *  eagerly so a quiescent bank reads as empty. */
+    /** Retire finished transaction frames, rethrowing the first
+     *  captured exception. Visits only the frames that finished since
+     *  the last call (their slots are on _finished), never the live
+     *  ones. Called lazily on request arrival; the checkpoint path
+     *  calls it eagerly so a quiescent bank reads as empty. */
     void pruneTransactions();
 
     /**
@@ -159,7 +162,7 @@ class L3Bank
     checkpointState(sim::Serializer &ser) const
     {
         ser.tag("bank");
-        if (!_running.empty() || !_txns.empty()) {
+        if (inFlight() != 0 || !_txns.empty()) {
             throw sim::SnapshotError(
                 "checkpoint with bank transactions in flight");
         }
@@ -277,8 +280,10 @@ class L3Bank
                               AtomicOp op, std::uint32_t operand,
                               std::uint32_t operand2);
 
-    /** Move @p task into _running, reusing a spare list node. */
-    sim::CoTask &adoptTransaction(sim::CoTask &&task);
+    /** Move @p task into a free frame slot and return the slot. Hold
+     *  the index, not a reference: a reentrant adoption can
+     *  reallocate _frames. */
+    std::uint32_t adoptTransaction(sim::CoTask &&task);
 
     /** The coroutine behind debugWedgeLine. */
     sim::CoTask wedge(mem::Addr base);
@@ -296,8 +301,9 @@ class L3Bank
     LineLockTable _locks;
     std::unique_ptr<coherence::Backend> _backend;
     sim::Tick _l3PortFree = 0;
-    std::list<sim::CoTask> _running;
-    std::list<sim::CoTask> _spare; ///< Recycled _running nodes.
+    std::vector<std::uint32_t> _finished;  ///< Slots done, not retired.
+    std::vector<std::uint32_t> _freeSlots; ///< Reusable _frames slots.
+    std::vector<sim::CoTask> _frames;      ///< Transaction frame slots.
     std::unordered_map<std::uint64_t, TxnRecord> _txns;
     std::uint64_t _txnSeq = 0;
 

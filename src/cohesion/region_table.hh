@@ -18,6 +18,7 @@
 #ifndef COHESION_COHESION_REGION_TABLE_HH
 #define COHESION_COHESION_REGION_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -144,14 +145,40 @@ peekBit(const mem::BackingStore &store, const mem::AddressMap &map,
                        map, a);
 }
 
-/** Mark a whole region SWcc/HWcc at boot (untimed). */
+/**
+ * The table-word mask of the lines of [@p a, @p end) that lie in
+ * @p a's 1 KB block — the 32 lines one table word covers — and
+ * advance @p a to the next block. Walking a region with this touches
+ * each table word once.
+ */
+inline std::uint32_t
+takeBlockMask(const mem::AddressMap &map, mem::Addr &a, mem::Addr end)
+{
+    const mem::Addr block = a & ~mem::Addr(1023);
+    const std::uint64_t stop =
+        std::min<std::uint64_t>(end, std::uint64_t{block} + 1024);
+    const std::uint64_t lines =
+        (stop - mem::lineBase(a) + mem::lineBytes - 1) >> mem::lineShift;
+    const std::uint64_t mask = ((std::uint64_t{1} << lines) - 1)
+                               << map.tableBitIndex(a);
+    a = block + 1024;
+    return static_cast<std::uint32_t>(mask);
+}
+
+/** Mark a whole region SWcc/HWcc at boot (untimed): one
+ *  read-modify-write per table word, so bits outside the region keep
+ *  their values. */
 inline void
 pokeRegion(mem::BackingStore &store, const mem::AddressMap &map,
            mem::Addr start, std::uint32_t size, bool swcc)
 {
-    for (mem::Addr a = mem::lineBase(start); a < start + size;
-         a += mem::lineBytes) {
-        pokeBit(store, map, a, swcc);
+    const mem::Addr end = start + size;
+    for (mem::Addr a = mem::lineBase(start); a < end;) {
+        const mem::Addr word_addr = map.tableWordAddr(a);
+        const std::uint32_t mask = takeBlockMask(map, a, end);
+        std::uint32_t word = store.readT<std::uint32_t>(word_addr);
+        word = swcc ? (word | mask) : (word & ~mask);
+        store.writeT(word_addr, word);
     }
 }
 

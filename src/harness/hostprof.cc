@@ -53,7 +53,8 @@ addHostStats(sim::StatRegistry &reg, const HostProfiler::Profile &p,
 
 void
 writeHostProfileJson(std::ostream &os, const HostProfiler::Profile &p,
-                     double wall_sec, std::uint64_t events_run)
+                     double wall_sec, std::uint64_t events_run,
+                     const ProcessTimes *process)
 {
     using Phase = HostProfiler::Phase;
 
@@ -74,6 +75,12 @@ writeHostProfileJson(std::ostream &os, const HostProfiler::Profile &p,
     os << "{\n";
     os << "  \"schema\": \"cohesion-host-profile-v1\",\n";
     os << "  \"wall_sec\": " << wall_sec << ",\n";
+    if (process) {
+        os << "  \"session_construct_sec\": "
+           << process->sessionConstructSec << ",\n";
+        os << "  \"process_wall_sec\": " << process->processWallSec
+           << ",\n";
+    }
     os << "  \"events_run\": " << events_run << ",\n";
     os << "  \"events_per_sec\": "
        << (wall_sec > 0 ? static_cast<double>(events_run) / wall_sec : 0)

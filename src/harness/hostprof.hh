@@ -28,14 +28,24 @@ namespace harness {
 void addHostStats(sim::StatRegistry &reg,
                   const sim::HostProfiler::Profile &p, double wall_sec);
 
+/** Process-level host times outside the profiled run. */
+struct ProcessTimes
+{
+    double sessionConstructSec = 0; ///< Session construction (boot).
+    double processWallSec = 0;      ///< Whole process, exec to exit.
+};
+
 /**
  * Write the standalone host-profile report: per-phase totals, call
  * counts, percent-of-run, and the sampled per-component ranking
- * (sorted by estimated host time).
+ * (sorted by estimated host time). With @p process, the report also
+ * carries the Session construction and whole-process wall times;
+ * `attributed_pct` stays relative to the profiled run's @p wall_sec.
  */
 void writeHostProfileJson(std::ostream &os,
                           const sim::HostProfiler::Profile &p,
-                          double wall_sec, std::uint64_t events_run);
+                          double wall_sec, std::uint64_t events_run,
+                          const ProcessTimes *process = nullptr);
 
 } // namespace harness
 

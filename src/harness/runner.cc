@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include <chrono>
+
 #include "harness/session.hh"
 
 namespace harness {
@@ -8,10 +10,14 @@ RunResult
 runKernel(const arch::MachineConfig &cfg, kernels::Kernel &kernel,
           const RunOptions &opts)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     Session session(cfg, kernel.params().seed);
+    const std::chrono::duration<double> construct =
+        std::chrono::steady_clock::now() - t0;
     if (!opts.restoreFrom.empty())
         session.restoreFrom(opts.restoreFrom);
     RunResult r = session.run(kernel, opts);
+    r.sessionConstructSec = construct.count();
     if (!opts.checkpointAt.empty())
         session.checkpointTo(opts.checkpointAt);
     return r;

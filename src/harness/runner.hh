@@ -95,8 +95,14 @@ struct RunResult
      *  delta across runKernel; empty when RunOptions::hostProfile is
      *  off). Nondeterministic — never feed into golden hashes. */
     sim::HostProfiler::Profile hostProfile;
-    /** Host wall-clock seconds spent inside runKernel (always set). */
+    /** Host wall-clock seconds spent inside Session::run (always
+     *  set). */
     double hostWallSec = 0;
+    /** Host wall-clock seconds runKernel spent constructing the
+     *  Session (chip and runtime boot): time the profile, which starts
+     *  inside Session::run, cannot see. Zero when the caller built the
+     *  Session itself. */
+    double sessionConstructSec = 0;
 
     /** Per-stage cycle-blame breakdown (all buckets zero unless
      *  RunOptions::latency was on). Deterministic — see DESIGN.md

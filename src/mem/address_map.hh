@@ -54,6 +54,8 @@ class AddressMap
         fatal_if(table_base & (fineTableBytes - 1),
                  "fine-grain table base must be 16 MB aligned");
         fatal_if(_bankBits > 13, "bank field exceeds supported width");
+        _bankMask = (1u << _bankBits) - 1;
+        _keepMask = 1u | ~((1u << (_bankBits + 9)) - 1);
     }
 
     unsigned numBanks() const { return _numBanks; }
@@ -139,57 +141,34 @@ class AddressMap
      * table address therefore occupies *output* index bits
      * [9 .. 9+bankBits-1], while the covered line's bank field arrives
      * in *input* index bits [1 .. bankBits]. The permutation moves the
-     * bank field accordingly and scatters the remaining bits, in order,
-     * over the remaining positions.
+     * bank field there and shifts the eight bits that sat above it
+     * down into [1 .. 8]; bit 0 and every bit from 9+bankBits up keep
+     * their positions. Three shift-and-mask terms, no loop: this runs
+     * on every table lookup and for every line the auditor checks.
      */
     std::uint32_t
     permuteWordIndex(std::uint32_t idx) const
     {
-        std::uint32_t out = 0;
-        for (unsigned i = 0; i < _bankBits; ++i) {
-            if (idx & (1u << (1 + i)))
-                out |= 1u << (9 + i);
-        }
-        unsigned out_pos = 0;
-        auto place = [&](unsigned in_bit) {
-            if (out_pos == 9)
-                out_pos += _bankBits; // skip the pinned bank field
-            if (idx & (1u << in_bit))
-                out |= 1u << out_pos;
-            ++out_pos;
-        };
-        place(0);
-        for (unsigned i = _bankBits + 1; i < 22; ++i)
-            place(i);
-        return out;
+        return (idx & _keepMask) | ((idx >> 1) & _bankMask) << 9 |
+               ((idx >> (_bankBits + 1)) & 0xFF) << 1;
     }
 
     std::uint32_t
     unpermuteWordIndex(std::uint32_t out) const
     {
-        std::uint32_t idx = 0;
-        for (unsigned i = 0; i < _bankBits; ++i) {
-            if (out & (1u << (9 + i)))
-                idx |= 1u << (1 + i);
-        }
-        unsigned out_pos = 0;
-        auto take = [&](unsigned in_bit) {
-            if (out_pos == 9)
-                out_pos += _bankBits;
-            if (out & (1u << out_pos))
-                idx |= 1u << in_bit;
-            ++out_pos;
-        };
-        take(0);
-        for (unsigned i = _bankBits + 1; i < 22; ++i)
-            take(i);
-        return idx;
+        return (out & _keepMask) | ((out >> 9) & _bankMask) << 1 |
+               ((out >> 1) & 0xFF) << (_bankBits + 1);
     }
 
     unsigned _numBanks;
     unsigned _numChannels;
     unsigned _bankBits;
     Addr _tableBase;
+    /** Bank field of a word index, right-aligned. */
+    std::uint32_t _bankMask = 0;
+    /** Index bits the permutation leaves in place: bit 0 and
+     *  [9+bankBits, 32). */
+    std::uint32_t _keepMask = 0;
 };
 
 } // namespace mem

@@ -190,13 +190,9 @@ CohesionRuntime::setRegionDomain(arch::Core &core, mem::Addr ptr,
         // All lines within one 1 KB block share a table word; gather
         // their bits into a single atomic update (hybrid.tbloff gives
         // the word's address).
-        mem::Addr block = a & ~mem::Addr(1023);
-        std::uint32_t mask = 0;
-        for (; a < end && (a & ~mem::Addr(1023)) == block;
-             a += mem::lineBytes) {
-            mask |= 1u << map.tableBitIndex(a);
-        }
-        mem::Addr word_addr = map.tableWordAddr(block);
+        const mem::Addr word_addr = map.tableWordAddr(a);
+        const std::uint32_t mask =
+            cohesion::fine_table::takeBlockMask(map, a, end);
         if (swcc) {
             co_await core.atomic(arch::AtomicOp::Or, word_addr, mask);
         } else {

@@ -11,8 +11,10 @@
 #define COHESION_SIM_COTASK_HH
 
 #include <coroutine>
+#include <cstdint>
 #include <exception>
 #include <utility>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -32,6 +34,10 @@ class CoTask
         std::coroutine_handle<> continuation;
         bool finished = false;
         std::exception_ptr error;
+        /** Completion list the final awaiter appends finishedSlot to
+         *  (set by recordFinishIn; null for nested tasks). */
+        std::vector<std::uint32_t> *finishedList = nullptr;
+        std::uint32_t finishedSlot = 0;
 
         CoTask
         get_return_object()
@@ -51,6 +57,10 @@ class CoTask
             {
                 auto &p = h.promise();
                 p.finished = true;
+                // Reached on a normal finish and after
+                // unhandled_exception alike.
+                if (p.finishedList)
+                    p.finishedList->push_back(p.finishedSlot);
                 if (p.continuation)
                     return p.continuation;
                 return std::noop_coroutine();
@@ -97,13 +107,32 @@ class CoTask
         return _handle && _handle.promise().finished;
     }
 
-    /** Start (or resume) a top-level task. Rethrows task exceptions. */
+    /**
+     * Start (or resume) a top-level task. Rethrows task exceptions.
+     * Nothing of *this is read once the coroutine runs, so its owner
+     * may move or reallocate the CoTask object meanwhile.
+     */
     void
     start()
     {
         panic_if(!_handle, "starting an empty CoTask");
-        _handle.resume();
-        rethrow();
+        const std::coroutine_handle<promise_type> h = _handle;
+        h.resume();
+        if (h.promise().error)
+            std::rethrow_exception(h.promise().error);
+    }
+
+    /**
+     * When the task finishes — normally or by an exception — append
+     * @p slot to @p list. Lets an owner of many top-level tasks retire
+     * the finished ones without scanning the live ones.
+     */
+    void
+    recordFinishIn(std::vector<std::uint32_t> &list, std::uint32_t slot)
+    {
+        panic_if(!_handle, "empty CoTask");
+        _handle.promise().finishedList = &list;
+        _handle.promise().finishedSlot = slot;
     }
 
     /** Rethrow an exception captured inside the coroutine, if any. */

@@ -101,6 +101,50 @@ TEST_P(TblOffBankProperty, PermutationIsInjective)
     }
 }
 
+/** The word-index permutation written as the bit-at-a-time loop the
+ *  closed form in AddressMap replaced: the bank field (index bits
+ *  [1, 1+bank_bits)) pinned at [9, 9+bank_bits), the other bits placed
+ *  in order, lowest first, over the remaining positions. */
+std::uint32_t
+referencePermute(std::uint32_t idx, unsigned bank_bits)
+{
+    std::uint32_t out = 0;
+    for (unsigned i = 0; i < bank_bits; ++i) {
+        if (idx & (1u << (1 + i)))
+            out |= 1u << (9 + i);
+    }
+    unsigned out_pos = 0;
+    auto place = [&](unsigned in_bit) {
+        if (out_pos == 9)
+            out_pos += bank_bits; // skip the pinned bank field
+        if (idx & (1u << in_bit))
+            out |= 1u << out_pos;
+        ++out_pos;
+    };
+    place(0);
+    for (unsigned i = bank_bits + 1; i < 22; ++i)
+        place(i);
+    return out;
+}
+
+TEST(AddressMap, TableWordAddrMatchesBitLoopReferenceExhaustively)
+{
+    for (unsigned bank_bits = 0; bank_bits <= 13; ++bank_bits) {
+        mem::AddressMap map(1u << bank_bits, 1, kTableBase);
+        std::uint64_t mismatches = 0;
+        std::uint32_t first_bad = 0;
+        for (std::uint32_t idx = 0; idx < (1u << 22); ++idx) {
+            const mem::Addr want =
+                kTableBase + (referencePermute(idx, bank_bits) << 2);
+            if (map.tableWordAddr(idx << 10) != want && !mismatches++)
+                first_bad = idx;
+        }
+        EXPECT_EQ(mismatches, 0u) << "bank bits " << bank_bits
+                                  << ", first bad word index 0x"
+                                  << std::hex << first_bad;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(BankCounts, TblOffBankProperty,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64));
 

@@ -142,6 +142,23 @@ TEST(Checkpoint, CheckpointIsObserverOnly)
     EXPECT_TRUE(want == fingerprint(session));
 }
 
+/** Finished transaction frames wait for the next request arrival to
+ *  be retired; the checkpoint path retires them eagerly, so a
+ *  quiescent chip snapshots with every bank empty. */
+TEST(Checkpoint, QuiescentChipReadsEveryBankEmpty)
+{
+    harness::Session session(testConfig(), kernels::Params{}.seed);
+    runOn(session, "heat");
+    arch::Chip &chip = session.chip();
+    unsigned lingering = 0;
+    for (unsigned b = 0; b < chip.numBanks(); ++b)
+        lingering += chip.bank(b).inFlight();
+    EXPECT_GT(lingering, 0u);
+    EXPECT_NO_THROW((void)session.checkpoint());
+    for (unsigned b = 0; b < chip.numBanks(); ++b)
+        EXPECT_EQ(chip.bank(b).inFlight(), 0u) << "bank " << b;
+}
+
 TEST(Checkpoint, FileRoundTrip)
 {
     const std::string path = "checkpoint_test_roundtrip.ck";

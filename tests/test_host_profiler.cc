@@ -260,6 +260,22 @@ TEST(HostProfiler, JsonReportIsWellFormed)
     ASSERT_TRUE(comps && comps->isArray());
     ASSERT_EQ(comps->arr.size(), 1u); // bank.msg
     EXPECT_EQ(comps->arr[0].find("name")->str, "bank.msg");
+    // Process times appear only when given (cohesion-sim gives them).
+    EXPECT_EQ(doc.find("session_construct_sec"), nullptr);
+    EXPECT_EQ(doc.find("process_wall_sec"), nullptr);
+
+    harness::ProcessTimes process;
+    process.sessionConstructSec = 0.125;
+    process.processWallSec = 0.75;
+    std::ostringstream with;
+    harness::writeHostProfileJson(with, p, /*wall_sec=*/0.5,
+                                  /*events_run=*/1000, &process);
+    ASSERT_TRUE(sim::parseJson(with.str(), &doc, &err)) << err;
+    ASSERT_NE(doc.find("session_construct_sec"), nullptr);
+    EXPECT_DOUBLE_EQ(doc.find("session_construct_sec")->number, 0.125);
+    ASSERT_NE(doc.find("process_wall_sec"), nullptr);
+    EXPECT_DOUBLE_EQ(doc.find("process_wall_sec")->number, 0.75);
+    EXPECT_DOUBLE_EQ(doc.find("wall_sec")->number, 0.5);
 }
 
 TEST(HostProfiler, HostStatsStayUnderHostPrefix)

@@ -453,6 +453,39 @@ TEST(Protocol, EveryRequestTypeMapsToItsFigure2Class)
 
 // ----------------------------------------------------------- end-to-end
 
+/** The bank*.inflight gauges of a heat run, sampled every 100 cycles,
+ *  against figures recorded before transaction frames were retired
+ *  from a completion list: a finished frame must still count until
+ *  the next request arrival at its bank retires it. */
+TEST(Observability, BankInflightGaugeMatchesPinnedHeatSeries)
+{
+    harness::RunOptions opts;
+    opts.samplePeriod = 100;
+    harness::RunResult r =
+        harness::runKernel(arch::MachineConfig::scaled(2),
+                           kernels::kernelFactory("heat"),
+                           kernels::Params{}, opts);
+    const sim::TimeSeriesData &ts = r.timeSeries;
+    std::vector<std::size_t> cols;
+    for (std::size_t i = 0; i < ts.names.size(); ++i) {
+        const std::string &n = ts.names[i];
+        if (n.starts_with("bank") && n.ends_with(".inflight"))
+            cols.push_back(i);
+    }
+    std::uint64_t samples = 0, sum = 0, hash = 0;
+    for (const auto &row : ts.rows) {
+        for (std::size_t c : cols) {
+            const auto v = static_cast<std::uint64_t>(row.values[c]);
+            ++samples;
+            sum += v;
+            hash = (hash * 1000003 + v) % (std::uint64_t{1} << 61);
+        }
+    }
+    EXPECT_EQ(samples, 2514u);
+    EXPECT_EQ(sum, 6030u);
+    EXPECT_EQ(hash, 767094374109168994u);
+}
+
 TEST(Observability, KernelRunExportsParsableStatsAndTrace)
 {
     arch::MachineConfig cfg = arch::MachineConfig::scaled(2);
@@ -470,6 +503,8 @@ TEST(Observability, KernelRunExportsParsableStatsAndTrace)
         r.reqLatency[unsigned(arch::MsgClass::ReadRequest)].count(), 0u);
     EXPECT_FALSE(r.timeSeries.empty());
     EXPECT_EQ(r.timeSeries.period, 500u);
+    // runKernel times the Session it builds, outside the profile.
+    EXPECT_GT(r.sessionConstructSec, 0.0);
 
     // --stats-json: hierarchical document with a populated latency
     // histogram (non-empty buckets).

@@ -449,4 +449,35 @@ TEST(DirectoryCapacity, EvictionsInvalidateSharersButPreserveData)
                   i + 1);
 }
 
+// ---------------------------------------------------------------------
+// Bank transaction retirement
+// ---------------------------------------------------------------------
+
+TEST(BankTransactions, ThrowingFrameRethrowsAtNextArrival)
+{
+    Rig rig(CoherenceMode::HWccOnly);
+    arch::Chip &chip = *rig.chip;
+    const mem::Addr a = runtime::Layout::cohHeapBase;
+    arch::L3Bank &bank = chip.bank(chip.map().bankOf(a));
+
+    // The release holds a's line lock across its L3 merge, so the
+    // typeless request behind it suspends first and throws later,
+    // inside an event, where nothing rethrows it on the spot.
+    arch::Request rel;
+    rel.type = arch::ReqType::WriteRelease;
+    rel.addr = a;
+    arch::Request bad = rel;
+    bad.type = static_cast<arch::ReqType>(0xFF); // no handler: panics
+    bank.receiveRequest(rel);
+    EXPECT_NO_THROW(bank.receiveRequest(bad));
+    EXPECT_EQ(bank.inFlight(), 2u);
+    chip.runUntilQuiescent();
+    // Both frames finished; neither is retired until the next arrival.
+    EXPECT_EQ(bank.inFlight(), 2u);
+
+    EXPECT_THROW(bank.receiveRequest(rel), std::logic_error);
+    // The throwing frame stays listed: the next retirement rethrows.
+    EXPECT_THROW(bank.pruneTransactions(), std::logic_error);
+}
+
 } // namespace

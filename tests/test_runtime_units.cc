@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cohesion/region_table.hh"
 #include "runtime/heap.hh"
 #include "runtime/layout.hh"
@@ -102,6 +104,56 @@ TEST(FineTable, PokeRegionCoversExactly)
     EXPECT_FALSE(cohesion::fine_table::peekBit(store, map, 0x6000'1000));
     EXPECT_FALSE(
         cohesion::fine_table::peekBit(store, map, 0x5FFF'FFE0));
+}
+
+/** The whole 16 MB fine table of @p store, byte for byte. */
+std::vector<std::uint8_t>
+tableBytes(const mem::BackingStore &store, const mem::AddressMap &map)
+{
+    std::vector<std::uint8_t> bytes(mem::fineTableBytes);
+    store.read(map.tableBase(), bytes.data(), mem::fineTableBytes);
+    return bytes;
+}
+
+TEST(FineTable, PokeRegionMatchesPerLinePokeBit)
+{
+    // 32 banks, so the tbloff permutation scatters neighbouring words.
+    const mem::AddressMap map(32, 8, 0xF000'0000);
+    struct Case
+    {
+        mem::Addr start;
+        std::uint32_t size;
+    };
+    const Case cases[] = {
+        {0x6000'0160, 5000},         // starts mid-block, ends mid-block
+        {0x6000'07E0, 40},           // last line of a block into the next
+        {0x6000'0171, 3000},         // start inside a line
+        {0x6000'0400, 3 * 1024 + 1}, // block aligned, one byte over
+        {0x6000'0400, 1024},         // exactly one word
+    };
+    for (const Case &c : cases) {
+        for (bool swcc : {true, false}) {
+            mem::BackingStore fill, reference;
+            // Pre-set random table bits in and around the region, so
+            // the fill must keep the bits outside it.
+            sim::Rng rng(c.start ^ c.size ^ swcc);
+            for (mem::Addr a = c.start - 4096; a < c.start + c.size + 4096;
+                 a += 1024) {
+                const auto w = static_cast<std::uint32_t>(rng.next());
+                fill.writeT(map.tableWordAddr(a), w);
+                reference.writeT(map.tableWordAddr(a), w);
+            }
+            cohesion::fine_table::pokeRegion(fill, map, c.start, c.size,
+                                             swcc);
+            for (mem::Addr a = mem::lineBase(c.start); a < c.start + c.size;
+                 a += mem::lineBytes) {
+                cohesion::fine_table::pokeBit(reference, map, a, swcc);
+            }
+            EXPECT_TRUE(tableBytes(fill, map) == tableBytes(reference, map))
+                << std::hex << "start 0x" << c.start << " size 0x"
+                << c.size << " swcc " << swcc;
+        }
+    }
 }
 
 TEST(Layout, SegmentClassification)

@@ -47,7 +47,8 @@
  *   --latency-topn N  print the top-N contended (class, stage) cells
  *                     and the per-mode waterfall (implies --latency)
  *   --host-profile F  enable the host-side self-profiler and write its
- *                     JSON report (per-phase host time) to F
+ *                     JSON report (per-phase host time, plus Session
+ *                     construction and whole-process wall time) to F
  *   --progress[=F]    live heartbeat on stderr while the run executes;
  *                     =F also appends machine-readable JSON lines to F
  *   --checkpoint-at F write a CCKPT1 machine snapshot after the run
@@ -55,6 +56,7 @@
  *                     run (exit 4 on a corrupt/incompatible snapshot)
  */
 
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -101,6 +103,11 @@ usage(int code)
         "  FILE may be \"-\" for stdout (except --trace-json)\n";
     std::exit(code);
 }
+
+/** Taken during static initialization, just after exec: the start of
+ *  the process wall time --host-profile reports. */
+const std::chrono::steady_clock::time_point g_processStart =
+    std::chrono::steady_clock::now();
 
 /** Open @p path for writing; "-" means stdout. Exits on failure. */
 std::ostream *
@@ -317,13 +324,6 @@ main(int argc, char **argv)
             cfg, kernels::kernelFactory(kernel), params, opts);
         if (!timeseries_csv.empty())
             r.timeSeries.dumpCsv(*openSink(timeseries_csv, sinks));
-        if (!host_profile.empty()) {
-            // The RunResult snapshot already includes the export
-            // phases: it is taken at the very end of runKernel.
-            harness::writeHostProfileJson(*openSink(host_profile, sinks),
-                                          r.hostProfile, r.hostWallSec,
-                                          r.eventsRun);
-        }
         // A "-" sink claims stdout for machine-readable output; the
         // human report would corrupt it.
         if (stats_json == "-" || timeseries_csv == "-" ||
@@ -354,6 +354,20 @@ main(int argc, char **argv)
                                                      : std::cout,
                                       r,
                                       static_cast<unsigned>(latency_topn));
+        }
+        if (!host_profile.empty()) {
+            // Written last, so the process wall time covers everything
+            // up to exit. The profile itself already includes the
+            // export phases: it is taken at the very end of the run.
+            harness::ProcessTimes process;
+            process.sessionConstructSec = r.sessionConstructSec;
+            process.processWallSec =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - g_processStart)
+                    .count();
+            harness::writeHostProfileJson(*openSink(host_profile, sinks),
+                                          r.hostProfile, r.hostWallSec,
+                                          r.eventsRun, &process);
         }
     } catch (const sim::SnapshotError &e) {
         std::cerr << "snapshot error: " << e.what() << '\n';
