@@ -206,6 +206,15 @@ class LineLockTable
         return _lines.count(line) != 0;
     }
 
+    /** Visit every line busy() reports (unordered). */
+    template <typename Fn>
+    void
+    forEachBusy(Fn &&fn) const
+    {
+        for (const auto &[line, state] : _lines)
+            fn(line);
+    }
+
   private:
     struct LineState
     {

@@ -306,27 +306,65 @@ Chip::probeArrived(unsigned bank_id, unsigned cluster_id, ProbeType type,
         });
 }
 
+cache::Line *
+Chip::newestCopy(mem::Addr a)
+{
+    const mem::Addr base = mem::lineBase(a);
+    const mem::WordMask bit = mem::wordBit(a);
+    auto dirtyIn = [&](std::size_t ci) -> cache::Line * {
+        cache::Line *l = _clusters[ci]->l2().probe(base);
+        return l && (l->dirtyMask & bit) && (l->validMask & bit) ? l
+                                                                  : nullptr;
+    };
+
+    // A dirty word in any L2 is the newest value. Inside a verify
+    // scope the index takes over once the scope has read as many words
+    // as an L2 has sets: those probes cost about what building the
+    // index (one walk of every L2) does, so a short verify never pays
+    // for it.
+    if (_verifyScopes && !_dirtyIndexBuilt &&
+        ++_verifyScans > _clusters.front()->l2().numSets()) {
+        for (std::size_t ci = 0; ci < _clusters.size(); ++ci) {
+            _clusters[ci]->l2().forEachValid([&](cache::Line &l) {
+                if (l.dirtyMask)
+                    _dirtyLines.push_back(std::uint64_t(l.base) << 32 | ci);
+            });
+        }
+        std::sort(_dirtyLines.begin(), _dirtyLines.end());
+        _dirtyIndexBuilt = true;
+    }
+    if (!_dirtyIndexBuilt) {
+        for (std::size_t ci = 0; ci < _clusters.size(); ++ci) {
+            if (cache::Line *l = dirtyIn(ci))
+                return l;
+        }
+    } else {
+        auto it = std::lower_bound(_dirtyLines.begin(), _dirtyLines.end(),
+                                   std::uint64_t(base) << 32);
+        for (; it != _dirtyLines.end() && (*it >> 32) == base; ++it) {
+            if (cache::Line *l = dirtyIn(*it & 0xFFFFFFFFu))
+                return l;
+        }
+    }
+    // Then the L3 copy; memory holds the rest.
+    cache::Line *l3 = bank(_map.bankOf(base)).l3().probe(base);
+    return l3 && (l3->validMask & bit) ? l3 : nullptr;
+}
+
+void
+Chip::dropDirtyIndex()
+{
+    std::vector<std::uint64_t>().swap(_dirtyLines);
+    _dirtyIndexBuilt = false;
+    _verifyScans = 0;
+}
+
 std::uint32_t
 Chip::coherentRead32(mem::Addr a)
 {
-    mem::Addr base = mem::lineBase(a);
-    mem::WordMask bit = mem::wordBit(a);
-
-    // A dirty word in any L2 is the newest value.
-    for (auto &cl : _clusters) {
-        if (cache::Line *l = cl->l2().probe(base)) {
-            if ((l->dirtyMask & bit) && (l->validMask & bit)) {
-                std::uint32_t v = 0;
-                l->read(a, &v, 4);
-                return v;
-            }
-        }
-    }
-    // Then the L3 copy, then memory.
-    cache::Line *l3line = bank(_map.bankOf(base)).l3().probe(base);
-    if (l3line && (l3line->validMask & bit)) {
+    if (const cache::Line *l = newestCopy(a)) {
         std::uint32_t v = 0;
-        l3line->read(a, &v, 4);
+        l->read(a, &v, 4);
         return v;
     }
     return _store.readT<std::uint32_t>(a);
@@ -337,7 +375,8 @@ Chip::injectFault(sim::FaultSite site, mem::Addr a, std::uint32_t xor_mask)
 {
     using sim::FaultSite;
     mem::Addr base = mem::lineBase(a);
-    mem::WordMask bit = mem::wordBit(a);
+    // The flip may change which L2 copies are dirty.
+    dropDirtyIndex();
 
     // Pure bit flip: perturb the stored bytes without touching the
     // dirty/valid bookkeeping (that is what the meta sites are for).
@@ -355,25 +394,12 @@ Chip::injectFault(sim::FaultSite site, mem::Addr a, std::uint32_t xor_mask)
 
     switch (site) {
       case FaultSite::MemDataFlip:
-        // Corrupt the newest visible copy, mirroring coherentRead32's
-        // search order, so a verifier must observe the flip.
-        for (auto &cl : _clusters) {
-            if (cache::Line *l = cl->l2().probe(base)) {
-                if ((l->dirtyMask & bit) && (l->validMask & bit)) {
-                    xor_data(*l);
-                    _faults.countInjected(site);
-                    return;
-                }
-            }
-        }
-        if (cache::Line *l3 = bank(_map.bankOf(base)).l3().probe(base)) {
-            if (l3->validMask & bit) {
-                xor_data(*l3);
-                _faults.countInjected(site);
-                return;
-            }
-        }
-        _store.writeT(a, _store.readT<std::uint32_t>(a) ^ xor_mask);
+        // Corrupt the newest visible copy, the one coherentRead32
+        // returns, so a verifier must observe the flip.
+        if (cache::Line *l = newestCopy(a))
+            xor_data(*l);
+        else
+            _store.writeT(a, _store.readT<std::uint32_t>(a) ^ xor_mask);
         _faults.countInjected(site);
         return;
 

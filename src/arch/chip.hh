@@ -187,8 +187,41 @@ class Chip
      * Read a 32-bit word with full visibility into the hierarchy:
      * a dirty L2 copy wins, then a valid L3 copy, then memory. Used
      * by kernel verification so results need not be flushed first.
+     * Inside a VerifyScope the dirty L2 copies are found through the
+     * scope's index; otherwise every L2 is probed.
      */
     std::uint32_t coherentRead32(mem::Addr a);
+
+    /**
+     * While open, coherentRead32 looks dirty L2 copies up in an index
+     * of the dirty L2 lines (line -> clusters, in cluster order)
+     * instead of probing every L2. The index is built once the scope
+     * has read more words than an L2 has sets. Closing the scope
+     * (return or throw) and injectFault() drop it. Only untimed reads
+     * may run inside: the index assumes no other L2 state changes
+     * while it lives.
+     */
+    class VerifyScope
+    {
+      public:
+        explicit VerifyScope(Chip &chip) : _chip(chip)
+        {
+            ++chip._verifyScopes;
+        }
+        ~VerifyScope()
+        {
+            if (--_chip._verifyScopes == 0)
+                _chip.dropDirtyIndex();
+        }
+        VerifyScope(const VerifyScope &) = delete;
+        VerifyScope &operator=(const VerifyScope &) = delete;
+
+      private:
+        Chip &_chip;
+    };
+
+    /** True while a VerifyScope holds a built dirty-line index. */
+    bool dirtyIndexBuilt() const { return _dirtyIndexBuilt; }
 
     // --- Fault injection -------------------------------------------------
 
@@ -413,6 +446,12 @@ class Chip
 
     void sampleOccupancy();
 
+    /** The line holding @p a's newest word: a dirty L2 copy (first
+     *  cluster in order), then a valid L3 copy; nullptr when memory
+     *  holds it. coherentRead32 and MemDataFlip share this search. */
+    cache::Line *newestCopy(mem::Addr a);
+    void dropDirtyIndex();
+
     /** True when any cache-flip fault site is armed; the run loop then
      *  invokes faultPump() at the plan's pump cadence. */
     bool pumpEligible() const;
@@ -444,6 +483,13 @@ class Chip
     std::unique_ptr<coherence::Auditor> _auditor;
     sim::Tick _auditPeriod = 0;
     std::uint64_t _respDelivered = 0;
+
+    // Verify-time dirty-line index: (line base << 32 | cluster) of each
+    // dirty L2 line, sorted.
+    unsigned _verifyScopes = 0;
+    std::uint32_t _verifyScans = 0; ///< Unindexed reads in the scope.
+    bool _dirtyIndexBuilt = false;
+    std::vector<std::uint64_t> _dirtyLines;
 
     ProgressFn _progressFn;
     double _progressIntervalSec = 0.25;

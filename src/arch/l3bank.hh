@@ -122,12 +122,14 @@ class L3Bank
             fn(t);
     }
 
-    /** True if @p base's line lock is held by a transaction (used by
-     *  the coherence auditor's in-flux filter). */
-    bool
-    lineBusy(mem::Addr base) const
+    /** Visit the base of every line whose lock a transaction holds or
+     *  waits on (the coherence auditor's in-flux filter). */
+    template <typename Fn>
+    void
+    forEachBusyLine(Fn &&fn) const
     {
-        return _locks.busy(mem::lineNumber(mem::lineBase(base)));
+        _locks.forEachBusy(
+            [&](std::uint32_t line) { fn(mem::Addr(line) << mem::lineShift); });
     }
 
     /** Protocol transactions completed (watchdog progress signal —

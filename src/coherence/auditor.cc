@@ -1,6 +1,7 @@
 #include "coherence/auditor.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <string_view>
 #include <vector>
@@ -62,22 +63,41 @@ Auditor::verifyNow()
 bool
 Auditor::inFlux(mem::Addr base) const
 {
-    base = mem::lineBase(base);
-    arch::Chip &c = _chip;
-    if (c.bank(c.map().bankOf(base)).lineBusy(base))
-        return true;
-    for (unsigned i = 0; i < c.numClusters(); ++i) {
-        if (c.cluster(i).hasMshr(base))
-            return true;
+    auto in = [](const std::vector<mem::Addr> &lines, mem::Addr a) {
+        return std::binary_search(lines.begin(), lines.end(),
+                                  mem::lineBase(a));
+    };
+    // A transition atomic holds the covering table line's lock while
+    // it rewrites this line's domain.
+    return in(_lockedLines, base) || in(_mshrLines, base) ||
+           (_chip.cohesionEnabled() &&
+            in(_lockedLines, _chip.map().tableWordAddr(base)));
+}
+
+mem::Addr
+Auditor::ownerConflict()
+{
+    // Slot: line base in the high half; copies << 1 | owned in the low
+    // half (never 0 once occupied, so 0 marks an empty slot).
+    std::size_t cap = 16;
+    while (cap < 2 * _hwccCopies.size())
+        cap <<= 1;
+    _tally.assign(cap, 0);
+    const unsigned shift = 64 - static_cast<unsigned>(std::countr_zero(cap));
+    for (mem::Addr copy : _hwccCopies) {
+        const mem::Addr base = copy & ~mem::Addr(1);
+        std::size_t i = static_cast<std::size_t>(
+            (std::uint64_t(base >> mem::lineShift) * 0x9E3779B97F4A7C15ull) >>
+            shift);
+        while (_tally[i] != 0 && (_tally[i] >> 32) != base)
+            i = (i + 1) & (cap - 1);
+        const std::uint64_t copies = ((_tally[i] & 0xFFFFFFFFu) >> 1) + 1;
+        const bool owned = (_tally[i] & 1) || (copy & 1);
+        _tally[i] = (std::uint64_t(base) << 32) | (copies << 1) | owned;
+        if (owned && copies > 1)
+            return base;
     }
-    if (c.cohesionEnabled()) {
-        // A transition atomic holds the covering table line's lock
-        // while it rewrites this line's domain.
-        mem::Addr wa = c.map().tableWordAddr(base);
-        if (c.bank(c.map().bankOf(wa)).lineBusy(wa))
-            return true;
-    }
-    return false;
+    return ~mem::Addr(0);
 }
 
 bool
@@ -88,24 +108,22 @@ Auditor::lineIsSwcc(mem::Addr base)
     if (c.coarseTable().contains(base))
         return true;
     const mem::AddressMap &map = c.map();
-    const mem::Addr wa = map.tableWordAddr(base);
-    std::uint32_t word = 0;
-    auto it = _tableWords.find(wa);
-    if (it != _tableWords.end()) {
-        word = it->second;
-    } else {
+    const mem::Addr block = base >> 10; // the 32 lines one word covers
+    TableWord &slot = _tableWords[block % _tableWords.size()];
+    if (slot.tag != block + 1) {
         // The L3 copy of the table line is the newest committed value;
         // the backing store serves lines the L3 evicted. The per-bank
         // table cache is deliberately not consulted — it is a fault
         // site (table.stale) and must not launder its own staleness.
+        const mem::Addr wa = map.tableWordAddr(base);
         arch::L3Bank &home = c.bank(map.bankOf(wa));
         if (const cache::Line *l = home.l3().probe(wa))
-            l->read(wa, &word, 4);
+            l->read(wa, &slot.word, 4);
         else
-            word = c.store().readT<std::uint32_t>(wa);
-        _tableWords.emplace(wa, word);
+            slot.word = c.store().readT<std::uint32_t>(wa);
+        slot.tag = block + 1;
     }
-    return cohesion::fine_table::bitFromWord(word, map, base);
+    return cohesion::fine_table::bitFromWord(slot.word, map, base);
 }
 
 void
@@ -124,28 +142,53 @@ Auditor::auditPass()
     };
     if (_countStats)
         _passes.inc();
-    _tableWords.clear();
-
-    struct Copy
-    {
-        unsigned cluster;
-        cache::CohState state;
-    };
-    std::unordered_map<mem::Addr, std::vector<Copy>> hwccCopies;
-
-    // Per-bank snapshot of the directory index. Directory::find()
-    // updates LRU state, so lookups during the audit must go through
-    // this side table to keep the pass free of side effects.
-    std::unordered_map<mem::Addr, const DirEntry *> dirIndex;
+    _tableWords.fill({});
+    _hwccCopies.clear();
+    // Lines mid-transaction, gathered once per pass: the line locks
+    // held at each line's home bank, and the MSHRs of every cluster.
+    _lockedLines.clear();
     for (unsigned bi = 0; bi < c.numBanks(); ++bi) {
-        if (const Directory *dir = c.bank(bi).directoryOrNull()) {
-            dir->forEach(
-                [&](const DirEntry &e) { dirIndex.emplace(e.base, &e); });
-        }
+        c.bank(bi).forEachBusyLine([&](mem::Addr base) {
+            if (c.map().bankOf(base) == bi)
+                _lockedLines.push_back(base);
+        });
     }
+    std::sort(_lockedLines.begin(), _lockedLines.end());
+    _mshrLines.clear();
+    for (unsigned ci = 0; ci < c.numClusters(); ++ci) {
+        c.cluster(ci).forEachMshr(
+            [&](mem::Addr base, arch::ReqType, unsigned) {
+                _mshrLines.push_back(base);
+            });
+    }
+    std::sort(_mshrLines.begin(), _mshrLines.end());
+
+    auto isOwner = [](cache::CohState s) {
+        return s == cache::CohState::Modified ||
+               s == cache::CohState::Exclusive;
+    };
 
     for (unsigned ci = 0; ci < c.numClusters(); ++ci) {
-        c.cluster(ci).l2().forEachValid([&](cache::Line &l) {
+        cache::CacheArray &l2 = c.cluster(ci).l2();
+        // Look this L2's HWcc lines up in their home directories first:
+        // a loop of independent lookups overlaps their cache misses,
+        // which the checks below would take one at a time. The checks
+        // still run in walk order, so the first violation is unchanged.
+        _homeEntries.clear();
+        if (amask & invariantBit(Invariant::L2WithoutDirectory)) {
+            l2.forEachValid([&](cache::Line &l) {
+                if (l.incoherent)
+                    return;
+                const Directory *dir =
+                    c.bank(c.map().bankOf(l.base)).directoryOrNull();
+                _homeEntries.push_back(dir ? dir->peek(l.base) : nullptr);
+            });
+        }
+        std::size_t next = 0; // this line's slot in _homeEntries
+        l2.forEachValid([&](cache::Line &l) {
+            const DirEntry *home = nullptr;
+            if (!l.incoherent && !_homeEntries.empty())
+                home = _homeEntries[next++];
             if (inFlux(l.base)) {
                 if (_countStats)
                     _linesSkipped.inc();
@@ -153,103 +196,94 @@ Auditor::auditPass()
             }
             if (_countStats)
                 _linesChecked.inc();
-            const std::string where = sim::cat(
-                "cluster ", ci, " line 0x", std::hex, l.base, std::dec,
-                " state ", cache::cohStateName(l.hwState),
-                l.incoherent ? " incoherent" : "", " valid=0x", std::hex,
-                unsigned(l.validMask), " dirty=0x", unsigned(l.dirtyMask),
-                std::dec);
+            // Formatted only when an invariant fails.
+            auto where = [&] {
+                return sim::cat(
+                    "cluster ", ci, " line 0x", std::hex, l.base, std::dec,
+                    " state ", cache::cohStateName(l.hwState),
+                    l.incoherent ? " incoherent" : "", " valid=0x",
+                    std::hex, unsigned(l.validMask), " dirty=0x",
+                    unsigned(l.dirtyMask), std::dec);
+            };
 
             if (applicable(Invariant::DirtySubsetValid) &&
                 (l.dirtyMask & ~l.validMask) != 0)
-                throw AuditError("dirty-subset-valid", where);
+                throw AuditError("dirty-subset-valid", where());
             if (applicable(Invariant::IncoherentXorHwstate) &&
                 l.incoherent && l.hwState != cache::CohState::Invalid)
-                throw AuditError("incoherent-xor-hwstate", where);
+                throw AuditError("incoherent-xor-hwstate", where());
             if (applicable(Invariant::ValidLineStateless) &&
                 !l.incoherent && l.hwState == cache::CohState::Invalid)
-                throw AuditError("valid-line-stateless", where);
+                throw AuditError("valid-line-stateless", where());
             if (applicable(Invariant::DirtyNeedsOwner) && l.dirty() &&
                 !l.incoherent && l.hwState != cache::CohState::Modified)
-                throw AuditError("dirty-needs-owner", where);
+                throw AuditError("dirty-needs-owner", where());
             if (applicable(Invariant::ModeDomain)) {
                 if (mode == arch::CoherenceMode::HWccOnly && l.incoherent)
-                    throw AuditError("mode-domain", where + " (HWccOnly)");
+                    throw AuditError("mode-domain", where() + " (HWccOnly)");
                 if (mode == arch::CoherenceMode::SWccOnly && !l.incoherent)
-                    throw AuditError("mode-domain", where + " (SWccOnly)");
+                    throw AuditError("mode-domain", where() + " (SWccOnly)");
             }
 
             if (!l.incoherent) {
-                hwccCopies[l.base].push_back(Copy{ci, l.hwState});
+                _hwccCopies.push_back(l.base | isOwner(l.hwState));
                 if (applicable(Invariant::DlsCleanShared) &&
                     (l.hwState != cache::CohState::Shared ||
                      l.dirtyMask != 0)) {
                     // Directoryless bank writes through and grants
                     // Shared only: an HWcc L2 copy is always a clean
                     // Shared one.
-                    throw AuditError("dls-clean-shared", where);
+                    throw AuditError("dls-clean-shared", where());
                 }
                 // HWcc copy: the home directory must know about it
                 // (directory-backed backends only).
                 const DirEntry *e = nullptr;
                 if (applicable(Invariant::L2WithoutDirectory)) {
-                    auto di = dirIndex.find(l.base);
-                    if (di == dirIndex.end())
-                        throw AuditError("l2-without-directory", where);
-                    e = di->second;
+                    e = home;
+                    if (!e)
+                        throw AuditError("l2-without-directory", where());
                 }
                 if (applicable(Invariant::SharerMissing) && e &&
                     !e->sharers.contains(ci))
                     throw AuditError(
                         "sharer-missing",
-                        where + sim::cat(" (dir state ",
-                                         cache::cohStateName(e->state),
-                                         ", ", e->sharers.count(),
-                                         " sharer(s))"));
-                if (applicable(Invariant::StateMismatch) && e) {
-                    bool l2_owner =
-                        l.hwState == cache::CohState::Modified ||
-                        l.hwState == cache::CohState::Exclusive;
-                    bool dir_owner =
-                        e->state == cache::CohState::Modified ||
-                        e->state == cache::CohState::Exclusive;
-                    if (l2_owner && !dir_owner)
-                        throw AuditError(
-                            "state-mismatch",
-                            where +
-                                sim::cat(" (dir state ",
-                                         cache::cohStateName(e->state),
-                                         ")"));
-                }
+                        where() + sim::cat(" (dir state ",
+                                           cache::cohStateName(e->state),
+                                           ", ", e->sharers.count(),
+                                           " sharer(s))"));
+                if (applicable(Invariant::StateMismatch) && e &&
+                    isOwner(l.hwState) && !isOwner(e->state))
+                    throw AuditError(
+                        "state-mismatch",
+                        where() + sim::cat(" (dir state ",
+                                           cache::cohStateName(e->state),
+                                           ")"));
                 if (applicable(Invariant::DomainMismatch) &&
                     mode == arch::CoherenceMode::Cohesion &&
                     lineIsSwcc(l.base)) {
                     throw AuditError("domain-mismatch",
-                                     where + " (table says SWcc)");
+                                     where() + " (table says SWcc)");
                 }
             } else if (mode == arch::CoherenceMode::Cohesion) {
                 if (applicable(Invariant::DomainMismatch) &&
                     !lineIsSwcc(l.base))
                     throw AuditError("domain-mismatch",
-                                     where + " (table says HWcc)");
+                                     where() + " (table says HWcc)");
             }
         });
     }
 
-    for (const auto &[base, copies] : hwccCopies) {
-        if (!applicable(Invariant::OwnerExclusive))
-            break;
-        bool owned = false;
-        for (const Copy &cp : copies) {
-            owned |= cp.state == cache::CohState::Modified ||
-                     cp.state == cache::CohState::Exclusive;
-        }
-        if (owned && copies.size() > 1) {
+    if (!_hwccCopies.empty() && applicable(Invariant::OwnerExclusive)) {
+        const mem::Addr base = ownerConflict();
+        if (base != ~mem::Addr(0)) {
             std::string detail =
                 sim::cat("line 0x", std::hex, base, std::dec, ":");
-            for (const Copy &cp : copies) {
-                detail += sim::cat(" cluster", cp.cluster, "=",
-                                   cache::cohStateName(cp.state));
+            for (unsigned ci = 0; ci < c.numClusters(); ++ci) {
+                const cache::Line *l = c.cluster(ci).l2().probe(base);
+                if (l && !l->incoherent) {
+                    detail += sim::cat(" cluster", ci, "=",
+                                       cache::cohStateName(l->hwState));
+                }
             }
             throw AuditError("owner-exclusive", detail);
         }
@@ -260,13 +294,15 @@ Auditor::auditPass()
         if (!dir)
             continue; // directoryless backend: nothing to walk
         dir->forEach([&](const DirEntry &e) {
-            const std::string where = sim::cat(
-                "bank ", bi, " entry 0x", std::hex, e.base, std::dec,
-                " state ", cache::cohStateName(e.state), " ",
-                e.sharers.count(), " sharer(s)");
+            auto where = [&] {
+                return sim::cat("bank ", bi, " entry 0x", std::hex, e.base,
+                                std::dec, " state ",
+                                cache::cohStateName(e.state), " ",
+                                e.sharers.count(), " sharer(s)");
+            };
             if (applicable(Invariant::DirInSwccMode) &&
                 mode == arch::CoherenceMode::SWccOnly)
-                throw AuditError("dir-in-swcc-mode", where);
+                throw AuditError("dir-in-swcc-mode", where());
             if (inFlux(e.base)) {
                 if (_countStats)
                     _linesSkipped.inc();
@@ -276,19 +312,17 @@ Auditor::auditPass()
                 _linesChecked.inc();
             if (applicable(Invariant::DirInvalidState) &&
                 e.state == cache::CohState::Invalid)
-                throw AuditError("dir-invalid-state", where);
+                throw AuditError("dir-invalid-state", where());
             if (applicable(Invariant::DirEmptySharers) &&
                 e.sharers.empty())
-                throw AuditError("dir-empty-sharers", where);
-            bool owner = e.state == cache::CohState::Modified ||
-                         e.state == cache::CohState::Exclusive;
-            if (applicable(Invariant::DirMultiOwner) && owner &&
+                throw AuditError("dir-empty-sharers", where());
+            if (applicable(Invariant::DirMultiOwner) && isOwner(e.state) &&
                 !e.sharers.broadcast() && e.sharers.count() != 1)
-                throw AuditError("dir-multi-owner", where);
+                throw AuditError("dir-multi-owner", where());
             if (applicable(Invariant::DirCoversSwcc) &&
                 mode == arch::CoherenceMode::Cohesion &&
                 lineIsSwcc(e.base))
-                throw AuditError("dir-covers-swcc", where);
+                throw AuditError("dir-covers-swcc", where());
         });
     }
 }

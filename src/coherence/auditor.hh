@@ -34,10 +34,11 @@
 #ifndef COHESION_COHERENCE_AUDITOR_HH
 #define COHESION_COHERENCE_AUDITOR_HH
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "coherence/backend.hh"
 #include "mem/types.hh"
@@ -50,6 +51,8 @@ class Chip;
 }
 
 namespace coherence {
+
+struct DirEntry;
 
 /** A coherence-invariant violation, with the offending state. */
 class AuditError : public std::runtime_error
@@ -136,8 +139,13 @@ class Auditor
     /** The invariant walk behind auditNow() (throws AuditError). */
     void auditPass();
 
-    /** True if @p base may legitimately be mid-transition. */
+    /** True if @p base may legitimately be mid-transition (reads the
+     *  pass's in-flux set, so only valid inside auditPass()). */
     bool inFlux(mem::Addr base) const;
+
+    /** owner-exclusive over this pass's HWcc copies: the first line
+     *  (in walk order) with an owned copy among two or more, or ~0. */
+    mem::Addr ownerConflict();
 
     /** Authoritative SWcc-domain decision for @p base (coarse table,
      *  then the fine table read through the L3 copy or the backing
@@ -146,8 +154,27 @@ class Auditor
 
     arch::Chip &_chip;
 
-    // Fine-table words resolved during the current pass.
-    std::unordered_map<mem::Addr, std::uint32_t> _tableWords;
+    // Fine-table words resolved during the current pass, direct-mapped
+    // by 1 KB block (a slot that loses its block is re-read later).
+    struct TableWord
+    {
+        mem::Addr tag = 0; ///< Block + 1; 0 marks an empty slot.
+        std::uint32_t word = 0;
+    };
+    std::array<TableWord, 4096> _tableWords{};
+
+    // Per-pass scratch, kept across passes so a pass allocates
+    // nothing once the machine's footprint is reached.
+    std::vector<mem::Addr> _lockedLines; ///< Sorted, home-bank locks.
+    std::vector<mem::Addr> _mshrLines;   ///< Sorted, any cluster.
+    /** Home-directory entry (or nullptr) of each HWcc line of the L2
+     *  being walked, in walk order. */
+    std::vector<const DirEntry *> _homeEntries;
+    /** HWcc copies checked this pass, in walk order: line base with
+     *  bit 0 set when the copy is an owner (Modified/Exclusive). */
+    std::vector<mem::Addr> _hwccCopies;
+    /** Open-addressed line -> copy tally behind ownerConflict(). */
+    std::vector<std::uint64_t> _tally;
 
     sim::Counter _passes, _linesChecked, _linesSkipped;
     std::uint64_t _invariantSkips[static_cast<unsigned>(

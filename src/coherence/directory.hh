@@ -114,6 +114,15 @@ class Directory
         return &it->second.entry;
     }
 
+    /** The entry for @p base, or nullptr, without touching LRU state
+     *  (the auditor's side-effect-free lookup). */
+    const DirEntry *
+    peek(mem::Addr base) const
+    {
+        auto it = _index.find(mem::lineBase(base));
+        return it == _index.end() ? nullptr : &it->second.entry;
+    }
+
     /** True if installing @p base requires evicting another entry. */
     bool
     needsVictim(mem::Addr base) const

@@ -208,6 +208,7 @@ Session::run(kernels::Kernel &kernel, const RunOptions &opts)
 
     if (!opts.skipVerify) {
         sim::HostProfiler::Scope hp(sim::HostProfiler::Phase::Verify);
+        arch::Chip::VerifyScope index(chip);
         kernel.verify(rt);
     }
 

@@ -315,8 +315,10 @@ class HostProfiler
     /** Atomic: concurrent sweep jobs may each enable() the profiler
      *  (last writer wins; they pass the same shift in practice). */
     static std::atomic<unsigned> _sampleShift;
-    static thread_local Phase _tlPhase;
-    static thread_local ThreadAcc *_tlAcc;
+    // Constant-initialized inline thread-locals: no TLS init wrapper,
+    // so every translation unit reads them directly.
+    static inline thread_local constinit Phase _tlPhase = Phase::None;
+    static inline thread_local constinit ThreadAcc *_tlAcc = nullptr;
 };
 
 } // namespace sim

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -345,6 +346,52 @@ TEST(AuditorMask, DirectoryInvariantsSkippedNotPassedUnderDls)
               0u)
         << "directory invariant skipped under a directory backend";
     EXPECT_GT(msi_audit.invariantSkips(Invariant::DlsCleanShared), 0u);
+}
+
+/** The auditor's counters after heat, per backend. Passes and line
+ *  counts are chip.audit.* stats; the skip counts say which checks
+ *  each backend masks off. The figures were taken before the audit
+ *  walk was reworked to cost O(resident lines), and a cheaper audit
+ *  must not move any of them. */
+TEST(AuditorCounters, HeatCountsArePinnedPerBackend)
+{
+    using coherence::Invariant;
+    constexpr unsigned n = static_cast<unsigned>(Invariant::Count);
+    struct Pinned
+    {
+        const char *backend;
+        std::uint64_t passes, checked, skipped;
+        std::array<std::uint64_t, n> skips;
+    };
+    const Pinned pinned[] = {
+        {"msi-fullmap", 31, 38404, 124,
+         {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3952}},
+        {"dir4b", 31, 38404, 124,
+         {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3952}},
+        {"dls", 33, 39502, 100,
+         {0, 0, 0, 0, 0, 4288, 4288, 4288, 0, 0, 0, 0, 0, 0, 0, 0}},
+    };
+    for (const Pinned &p : pinned) {
+        harness::Session session(backendConfig(p.backend), 12345);
+        kernels::Params params;
+        auto kernel = kernels::kernelFactory("heat")(params);
+        session.run(*kernel);
+        const coherence::Auditor &a = *session.chip().auditor();
+        std::ostringstream got;
+        got << "{\"" << p.backend << "\", " << a.passes() << ", "
+            << a.linesChecked() << ", " << a.linesSkipped() << ", {";
+        for (unsigned i = 0; i < n; ++i)
+            got << (i ? ", " : "") << a.invariantSkips(Invariant(i));
+        got << "}}";
+        EXPECT_EQ(a.passes(), p.passes) << got.str();
+        EXPECT_EQ(a.linesChecked(), p.checked) << got.str();
+        EXPECT_EQ(a.linesSkipped(), p.skipped) << got.str();
+        for (unsigned i = 0; i < n; ++i) {
+            EXPECT_EQ(a.invariantSkips(Invariant(i)), p.skips[i])
+                << coherence::invariantName(Invariant(i)) << ": "
+                << got.str();
+        }
+    }
 }
 
 } // namespace

@@ -36,7 +36,7 @@ struct Rig
 };
 
 Rig
-runQuiesced(arch::CoherenceMode mode)
+runQuiesced(arch::CoherenceMode mode, std::uint32_t recorder = 0)
 {
     Rig r;
     r.cfg = arch::MachineConfig::scaled(2);
@@ -44,6 +44,8 @@ runQuiesced(arch::CoherenceMode mode)
     kernels::Params params;
     r.kernel = kernels::kernelFactory("heat")(params);
     r.chip = std::make_unique<arch::Chip>(r.cfg, runtime::Layout::tableBase);
+    if (recorder)
+        r.chip->enableRecorder(recorder);
     r.rt = std::make_unique<runtime::CohesionRuntime>(*r.chip);
     r.kernel->setup(*r.rt);
     std::vector<sim::CoTask> workers;
@@ -350,6 +352,100 @@ TEST(Auditor, CatchesDirectoryEntryInSwccOnlyMode)
             mem::Addr base = runtime::Layout::incHeapBase;
             chip.bank(chip.map().bankOf(base)).directory().insert(base);
         });
+}
+
+// --- Pinned messages -----------------------------------------------
+//
+// The full AuditError text, recorder history included, for one L2 and
+// one directory invariant. The expected text was taken from the build
+// that formatted every line's diagnostics eagerly; formatting them only
+// on failure must not change a byte.
+
+std::string
+auditMessage(const std::function<void(arch::Chip &)> &corrupt)
+{
+    Rig r = runQuiesced(arch::CoherenceMode::Cohesion, 1u << 16);
+    corrupt(*r.chip);
+    try {
+        r.chip->auditNow();
+    } catch (const coherence::AuditError &e) {
+        return e.what();
+    }
+    return "no audit error";
+}
+
+TEST(AuditorMessage, DirtySubsetValidTextIsPinned)
+{
+    const std::string got = auditMessage([](arch::Chip &chip) {
+        FoundLine f = findLine(chip, false);
+        ASSERT_NE(f.line, nullptr);
+        f.line->validMask &= mem::WordMask(~1u);
+        f.line->dirtyMask |= 1;
+    });
+    // The second history block is line 0x0's: the history scan reads
+    // the "dirty=0x1" mask token as an address. Pinned as it stands.
+    EXPECT_EQ(got, R"(coherence audit failed [dirty-subset-valid]: cluster 0 line 0xe0004000 state S valid=0xfe dirty=0x1
+  recorder history line 0xe0004000:
+    t=194 cluster1 msg.send RdReq line 0xe0004000 msg#10 class=ReadRequests
+    t=203 bank0 msg.recv RdReq line 0xe0004000 from cluster0 msg#10
+    t=203 bank0 txn.begin line 0xe0004000 txn#19 msg#10
+    t=220 bank0 msg.recv RdReq line 0xe0004000 from cluster1 msg#10
+    t=220 bank0 txn.begin line 0xe0004000 txn#20 msg#10
+    t=275 bank0 table.read line 0xe0004000 -> HWcc (L3/mem) msg#10
+    t=275 bank0 dir.insert line 0xe0004000 state=S cluster0 msg#10
+    t=319 bank0 resp.send RdReq line 0xe0004000 msg#10
+    t=319 bank0 txn.end line 0xe0004000 txn#19
+    t=320 bank0 dir.state line 0xe0004000 state=S sharers=2 msg#10
+    t=336 bank0 resp.send RdReq line 0xe0004000 msg#10
+    t=336 bank0 txn.end line 0xe0004000 txn#20
+    t=344 cluster0 resp.recv RdReq line 0xe0004000 msg#10
+    t=344 cluster0 fill line 0xe0004000 state=S msg#10
+    t=361 cluster1 resp.recv RdReq line 0xe0004000 msg#10
+    t=361 cluster1 fill line 0xe0004000 state=S msg#10
+
+  recorder history line 0x0:
+    t=23292 chip barrier.release episode 1
+    t=43753 chip barrier.release episode 2
+    t=64525 chip barrier.release episode 3
+    t=85070 chip barrier.release episode 4
+    t=105129 chip barrier.release episode 5
+    t=125704 chip barrier.release episode 6
+)");
+}
+
+TEST(AuditorMessage, DirMultiOwnerTextIsPinned)
+{
+    const std::string got = auditMessage([](arch::Chip &chip) {
+        FoundLine f = findLine(chip, false);
+        ASSERT_NE(f.line, nullptr);
+        mem::Addr base = f.line->base;
+        demoteCopies(chip, base);
+        coherence::DirEntry *e =
+            chip.bank(chip.map().bankOf(base)).directory().find(base);
+        ASSERT_NE(e, nullptr);
+        e->state = cache::CohState::Modified;
+        for (unsigned ci = 0; ci < chip.numClusters(); ++ci)
+            e->sharers.add(ci);
+    });
+    EXPECT_EQ(got, R"(coherence audit failed [dir-multi-owner]: bank 0 entry 0xe0004000 state M 2 sharer(s)
+  recorder history line 0xe0004000:
+    t=194 cluster1 msg.send RdReq line 0xe0004000 msg#10 class=ReadRequests
+    t=203 bank0 msg.recv RdReq line 0xe0004000 from cluster0 msg#10
+    t=203 bank0 txn.begin line 0xe0004000 txn#19 msg#10
+    t=220 bank0 msg.recv RdReq line 0xe0004000 from cluster1 msg#10
+    t=220 bank0 txn.begin line 0xe0004000 txn#20 msg#10
+    t=275 bank0 table.read line 0xe0004000 -> HWcc (L3/mem) msg#10
+    t=275 bank0 dir.insert line 0xe0004000 state=S cluster0 msg#10
+    t=319 bank0 resp.send RdReq line 0xe0004000 msg#10
+    t=319 bank0 txn.end line 0xe0004000 txn#19
+    t=320 bank0 dir.state line 0xe0004000 state=S sharers=2 msg#10
+    t=336 bank0 resp.send RdReq line 0xe0004000 msg#10
+    t=336 bank0 txn.end line 0xe0004000 txn#20
+    t=344 cluster0 resp.recv RdReq line 0xe0004000 msg#10
+    t=344 cluster0 fill line 0xe0004000 state=S msg#10
+    t=361 cluster1 resp.recv RdReq line 0xe0004000 msg#10
+    t=361 cluster1 fill line 0xe0004000 state=S msg#10
+)");
 }
 
 // --- Deadlock watchdog ---------------------------------------------
